@@ -5,6 +5,11 @@
 //! * `recalibration` — one least-squares model refit. Paper: 16 µs.
 //! * `duty_set` — one duty-cycle adjustment. Paper: < 0.2 µs.
 //! * `container_attribute` — one per-interval container update.
+//! * `manager_checkpoint_records_1e3` / `_1e5` — one crash-journal entry
+//!   (the cluster engine writes one per live node every 50 ms) for a
+//!   manager with 32 live containers and 10³ or 10⁵ retained records.
+//!   The journal holds only a watermark into the record log, so the two
+//!   timings should be about equal.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hwsim::{CoreId, CounterBlock, DutyCycle};
@@ -75,5 +80,32 @@ fn container_attribute(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, maintenance_op, recalibration, duty_set, container_attribute);
+fn manager_checkpoint(c: &mut Criterion) {
+    for (id, retained) in
+        [("manager_checkpoint_records_1e3", 1_000u64), ("manager_checkpoint_records_1e5", 100_000)]
+    {
+        let mut manager = ContainerManager::new(true);
+        for ctx in 0..retained + 32 {
+            let ctx = ContextId(ctx);
+            manager.bind(ctx, SimTime::ZERO);
+            manager.attribute(Some(ctx), 12.0, 1.0, 1e-3, &CounterBlock::default(), SimTime::ZERO);
+            if ctx.0 < retained {
+                manager.unbind(ctx, SimTime::from_millis(1));
+            }
+        }
+        assert_eq!(manager.records().len() as u64, retained);
+        assert_eq!(manager.live_count(), 32);
+        let now = SimTime::from_millis(2);
+        c.bench_function(id, |b| b.iter(|| black_box(manager.checkpoint(now))));
+    }
+}
+
+criterion_group!(
+    benches,
+    maintenance_op,
+    recalibration,
+    duty_set,
+    container_attribute,
+    manager_checkpoint
+);
 criterion_main!(benches);

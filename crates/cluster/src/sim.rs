@@ -1777,6 +1777,9 @@ fn run_engine(
                         Rc::clone(&node.stats),
                         &tele,
                     );
+                    // The dead incarnation's record log moves to the new
+                    // one; restore truncates it to the checkpoint.
+                    let log = node.facility.borrow_mut().containers_mut().take_records();
                     node.kernel = kernel;
                     node.facility = facility;
                     node.inboxes = inboxes;
@@ -1785,7 +1788,7 @@ fn run_engine(
                         .facility
                         .borrow_mut()
                         .containers_mut()
-                        .restore(&node.last_checkpoint, w.start);
+                        .restore(&node.last_checkpoint, log, w.start);
                     // Re-journal the restored state immediately so a
                     // back-to-back crash cannot lose the same window
                     // twice.
@@ -2235,6 +2238,7 @@ fn run_engine(
                         Rc::clone(&node.stats),
                         &tele,
                     );
+                    let log = node.facility.borrow_mut().containers_mut().take_records();
                     node.kernel = kernel;
                     node.facility = facility;
                     node.inboxes = inboxes;
@@ -2243,7 +2247,7 @@ fn run_engine(
                         .facility
                         .borrow_mut()
                         .containers_mut()
-                        .restore(&node.last_checkpoint, t);
+                        .restore(&node.last_checkpoint, log, t);
                     node.last_checkpoint =
                         node.facility.borrow().containers().checkpoint(t);
                     node.checkpoints += 1;

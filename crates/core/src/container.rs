@@ -592,6 +592,14 @@ pub struct ContainerSnapshot {
 /// the live containers' accumulated energy; only attribution performed
 /// *after* the checkpoint is lost in a crash, and that loss window is
 /// exactly `attributed-at-crash − checkpoint.attributed_energy_j()`.
+///
+/// The manager's record log is append-only (records are only ever
+/// pushed), so the records retained at checkpoint time are always a
+/// prefix of the live log. The checkpoint therefore journals only a
+/// watermark into that log (`records_len`), like a write-ahead log's
+/// commit offset: taking a checkpoint costs O(live containers), and a
+/// restore moves the dead incarnation's log into the new manager and
+/// truncates it to the watermark instead of copying any record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ManagerCheckpoint {
     /// When the checkpoint was taken.
@@ -609,8 +617,9 @@ pub struct ManagerCheckpoint {
     pub total_request_io_energy_j: f64,
     /// Containers released before the checkpoint.
     pub released: u64,
-    /// Retained records at checkpoint time.
-    pub records: Vec<ContainerRecord>,
+    /// Length of the retained record log at checkpoint time: the
+    /// watermark up to which the log is journaled.
+    pub records_len: usize,
 }
 
 impl ManagerCheckpoint {
@@ -624,7 +633,7 @@ impl ManagerCheckpoint {
             total_request_energy_j: 0.0,
             total_request_io_energy_j: 0.0,
             released: 0,
-            records: Vec::new(),
+            records_len: 0,
         }
     }
 
@@ -648,7 +657,7 @@ impl ManagerCheckpoint {
             self.taken_at.as_nanos(),
             self.live.len(),
             self.released,
-            self.records.len(),
+            self.records_len,
             self.total_request_energy_j,
             self.total_request_io_energy_j,
             self.background_energy_j,
@@ -695,12 +704,22 @@ impl ContainerManager {
             total_request_energy_j: self.total_request_energy_j,
             total_request_io_energy_j: self.total_request_io_energy_j,
             released: self.released,
-            records: self.records.clone(),
+            records_len: self.records.len(),
         }
     }
 
+    /// Moves the retained record log out of this manager, leaving it
+    /// empty. A crashing node hands its dead incarnation's log to
+    /// [`ContainerManager::restore`] on the rebuilt manager.
+    pub fn take_records(&mut self) -> Vec<ContainerRecord> {
+        std::mem::take(&mut self.records)
+    }
+
     /// Restores checkpointed state into this (freshly created) manager
-    /// after a crash/restart at `now`.
+    /// after a crash/restart at `now`. `log` is the record log of the
+    /// incarnation that wrote `cp` (see [`ContainerManager::take_records`]);
+    /// it is truncated to the checkpoint's watermark and adopted, so
+    /// records released after the checkpoint are lost with the crash.
     ///
     /// Cumulative totals, the background container's energy and the
     /// retained records come back exactly as journaled. Containers that
@@ -713,19 +732,36 @@ impl ContainerManager {
     ///
     /// # Panics
     ///
-    /// Panics if the manager has already attributed or bound anything —
-    /// restore targets only a fresh post-restart manager.
-    pub fn restore(&mut self, cp: &ManagerCheckpoint, now: SimTime) -> u64 {
+    /// Panics if the manager has already attributed, bound or recorded
+    /// anything — restore targets only a fresh post-restart manager — or
+    /// if `log` is shorter than the checkpoint's watermark, i.e. it is
+    /// not the log the checkpoint was taken from.
+    pub fn restore(
+        &mut self,
+        cp: &ManagerCheckpoint,
+        mut log: Vec<ContainerRecord>,
+        now: SimTime,
+    ) -> u64 {
         assert!(
-            self.index.is_empty() && self.released == 0 && self.total_request_energy_j == 0.0,
+            self.index.is_empty()
+                && self.released == 0
+                && self.total_request_energy_j == 0.0
+                && self.records.is_empty(),
             "restore targets a freshly created manager"
+        );
+        assert!(
+            log.len() >= cp.records_len,
+            "restore needs the checkpointed record log: got {} records, watermark is {}",
+            log.len(),
+            cp.records_len
         );
         self.total_request_energy_j = cp.total_request_energy_j;
         self.total_request_io_energy_j = cp.total_request_io_energy_j;
         self.bg_acct.energy_j = cp.background_energy_j;
         self.bg_acct.io_energy_j = cp.background_io_energy_j;
         if self.retain_records {
-            self.records = cp.records.clone();
+            log.truncate(cp.records_len);
+            self.records = log;
         }
         for s in &cp.live {
             self.released += 1;
@@ -861,7 +897,7 @@ mod tests {
         let cp = m.checkpoint(SimTime::from_millis(1));
         assert!((cp.live[0].throttled_j - 0.5).abs() < 1e-12);
         let mut fresh = ContainerManager::new(true);
-        fresh.restore(&cp, SimTime::from_millis(2));
+        fresh.restore(&cp, Vec::new(), SimTime::from_millis(2));
         assert!((fresh.records()[0].throttled_j - 0.5).abs() < 1e-12);
         m.unbind(ctx, SimTime::from_millis(1));
         assert!((m.records()[0].throttled_j - 0.5).abs() < 1e-12);
@@ -1008,14 +1044,18 @@ mod tests {
         let cp = m.checkpoint(SimTime::from_millis(5));
         assert_eq!(cp.live.len(), 1);
         assert_eq!(cp.released, 1);
-        assert_eq!(cp.records.len(), 1);
+        assert_eq!(cp.records_len, 1);
         let attributed = m.total_energy_with_background_j()
             + m.total_request_io_energy_j()
             + m.background().io_energy_j();
         assert!((cp.attributed_energy_j() - attributed).abs() < 1e-12);
 
+        // A record released after the checkpoint is lost with the crash.
+        m.unbind(live, SimTime::from_millis(6));
+        assert_eq!(m.records().len(), 2);
         let mut fresh = ContainerManager::new(true);
-        let force_released = fresh.restore(&cp, SimTime::from_millis(9));
+        let force_released = fresh.restore(&cp, m.take_records(), SimTime::from_millis(9));
+        assert!(m.records().is_empty(), "the log was moved, not copied");
         assert_eq!(force_released, 1);
         // Totals are exactly the journaled ones; the live container came
         // back as a record (its bound task died with the crash), so
@@ -1059,10 +1099,25 @@ mod tests {
     #[test]
     fn empty_checkpoint_restores_to_nothing() {
         let mut fresh = ContainerManager::new(true);
-        assert_eq!(fresh.restore(&ManagerCheckpoint::empty(), SimTime::ZERO), 0);
+        assert_eq!(fresh.restore(&ManagerCheckpoint::empty(), Vec::new(), SimTime::ZERO), 0);
         assert_eq!(fresh.live_count(), 0);
         assert_eq!(fresh.released_count(), 0);
         assert_eq!(fresh.total_energy_with_background_j(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "restore needs the checkpointed record log")]
+    fn restore_rejects_a_log_shorter_than_the_watermark() {
+        let mut m = ContainerManager::new(true);
+        for id in [1u64, 2] {
+            m.bind(ContextId(id), SimTime::ZERO);
+            m.unbind(ContextId(id), SimTime::from_millis(1));
+        }
+        let cp = m.checkpoint(SimTime::from_millis(2));
+        assert_eq!(cp.records_len, 2);
+        let mut short = m.take_records();
+        short.pop();
+        ContainerManager::new(true).restore(&cp, short, SimTime::from_millis(3));
     }
 
     #[test]

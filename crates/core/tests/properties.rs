@@ -4,7 +4,8 @@ use hwsim::{CoreId, MachineSpec};
 use ossim::ContextId;
 use power_containers::{
     BankConfig, CalibrationSample, CalibrationSet, ConditioningPolicy, ContainerManager,
-    MetricVector, ModelBank, ModelKind, PowerModel, SampleBoard, TraceRing,
+    ContainerRecord, ManagerCheckpoint, MetricVector, ModelBank, ModelKind, PowerModel,
+    SampleBoard, TraceRing,
 };
 use proptest::prelude::*;
 use simkern::{SimDuration, SimTime};
@@ -207,7 +208,7 @@ proptest! {
         let total_before = mgr.total_request_energy_j();
 
         let mut fresh = ContainerManager::new(true);
-        let restored = fresh.restore(&cp, t);
+        let restored = fresh.restore(&cp, mgr.take_records(), t);
         // Every journaled live container was force-released exactly once.
         prop_assert_eq!(restored as usize, live_before);
         prop_assert_eq!(fresh.live_count(), 0);
@@ -262,7 +263,7 @@ proptest! {
             }
             let cp = mgr.checkpoint(SimTime::from_millis(now_ms));
             let mut fresh = ContainerManager::new(true);
-            let restored = fresh.restore(&cp, SimTime::from_millis(now_ms));
+            let restored = fresh.restore(&cp, mgr.take_records(), SimTime::from_millis(now_ms));
             prop_assert_eq!(restored as usize, cp.live.len());
             prop_assert_eq!(fresh.live_count(), 0, "all journaled containers resolved");
             prop_assert_eq!(
@@ -278,6 +279,165 @@ proptest! {
             mgr.total_request_energy_j(),
             expected
         );
+    }
+}
+
+/// One step of a container-manager history for the journal oracle.
+#[derive(Debug, Clone)]
+enum JournalOp {
+    Bind(u64),
+    Label(u64, u32),
+    /// (ctx or background, watts, duty, seconds)
+    Attribute(Option<u64>, f64, f64, f64),
+    Io(Option<u64>, f64),
+    Unbind(u64),
+    /// Periodic journal entry.
+    Checkpoint,
+    /// Crash and restore from the last journal entry, then re-journal.
+    Crash,
+    /// Clean drain to standby (journal at the freeze instant), then
+    /// provision again from that entry.
+    DrainAndProvision,
+}
+
+/// Draws one [`JournalOp`]; the selector's ranges weight the mix
+/// towards attribution, with a checkpoint about every tenth step.
+fn journal_op() -> impl Strategy<Value = JournalOp> {
+    (0u32..22, 0u64..8, 0.0f64..30.0, 0.1f64..1.0, 0.0005f64..0.01).prop_map(
+        |(k, c, w, d, dt)| {
+            // Every fifth attribution lands in the background container.
+            let target = if k % 5 == 0 { None } else { Some(c) };
+            match k {
+                0..=3 => JournalOp::Bind(c),
+                4 => JournalOp::Label(c, w as u32 % 4),
+                5..=10 => JournalOp::Attribute(target, w, d, dt),
+                11..=12 => JournalOp::Io(target, w / 60.0),
+                13..=16 => JournalOp::Unbind(c),
+                17..=18 => JournalOp::Checkpoint,
+                19 => JournalOp::Crash,
+                _ => JournalOp::DrainAndProvision,
+            }
+        },
+    )
+}
+
+/// Every field of a record as raw bits, so equality is bit-equality.
+fn record_bits(r: &ContainerRecord) -> [u64; 11] {
+    [
+        r.ctx.0,
+        r.label.map_or(u64::MAX, u64::from),
+        r.created_at.as_nanos(),
+        r.finished_at.as_nanos(),
+        r.energy_j.to_bits(),
+        r.io_energy_j.to_bits(),
+        r.throttled_j.to_bits(),
+        r.busy_seconds.to_bits(),
+        r.mean_power_w.to_bits(),
+        r.unthrottled_power_w.to_bits(),
+        r.mean_duty.to_bits(),
+    ]
+}
+
+/// Restores `cp` into a fresh manager from `old`'s moved record log and
+/// checks it against `oracle`, the clone of the record log the test took
+/// when `cp` was written: the first `records_len` records must be
+/// bit-equal to the oracle, and the rest must be exactly the journaled
+/// live containers, force-released at `now` in journal order.
+fn restore_against_oracle(
+    old: &mut ContainerManager,
+    cp: &ManagerCheckpoint,
+    oracle: &[ContainerRecord],
+    now: SimTime,
+) -> Result<ContainerManager, TestCaseError> {
+    let mut fresh = ContainerManager::new(true);
+    let restored = fresh.restore(cp, old.take_records(), now);
+    prop_assert!(old.records().is_empty(), "the dead incarnation's log must be moved");
+    prop_assert_eq!(cp.records_len, oracle.len());
+    prop_assert_eq!(restored as usize, cp.live.len());
+    let records = fresh.records();
+    prop_assert_eq!(records.len(), cp.records_len + cp.live.len());
+    for (got, want) in records.iter().zip(oracle) {
+        prop_assert_eq!(record_bits(got), record_bits(want));
+    }
+    for (r, s) in records[cp.records_len..].iter().zip(&cp.live) {
+        prop_assert_eq!(r.ctx, s.ctx);
+        prop_assert_eq!(r.label, s.label);
+        prop_assert_eq!(r.created_at, s.created_at);
+        prop_assert_eq!(r.finished_at, now);
+        prop_assert_eq!(r.energy_j.to_bits(), s.energy_j.to_bits());
+        prop_assert_eq!(r.io_energy_j.to_bits(), s.io_energy_j.to_bits());
+        prop_assert_eq!(r.throttled_j.to_bits(), s.throttled_j.to_bits());
+        prop_assert_eq!(r.busy_seconds.to_bits(), s.busy_seconds.to_bits());
+    }
+    prop_assert_eq!(fresh.live_count(), 0);
+    prop_assert_eq!(fresh.released_count(), cp.released + cp.live.len() as u64);
+    prop_assert_eq!(
+        fresh.total_request_energy_j().to_bits(),
+        cp.total_request_energy_j.to_bits()
+    );
+    prop_assert_eq!(
+        fresh.total_request_io_energy_j().to_bits(),
+        cp.total_request_io_energy_j.to_bits()
+    );
+    prop_assert_eq!(fresh.background().energy_j().to_bits(), cp.background_energy_j.to_bits());
+    prop_assert_eq!(
+        fresh.background().io_energy_j().to_bits(),
+        cp.background_io_energy_j.to_bits()
+    );
+    Ok(fresh)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The watermark journal restores exactly what a full copy would
+    /// have: over random bind/label/attribute/unbind histories with
+    /// periodic checkpoints, crashes at arbitrary points after the last
+    /// checkpoint (including back-to-back crashes that re-journal right
+    /// after restore) and drain → standby → provision cycles, the
+    /// records restored from the moved, truncated log are bit-equal to a
+    /// clone of the log taken when the checkpoint was written.
+    #[test]
+    fn watermark_restore_matches_a_cloned_journal(
+        ops in prop::collection::vec(journal_op(), 1..120),
+    ) {
+        let mut mgr = ContainerManager::new(true);
+        let mut cp = mgr.checkpoint(SimTime::ZERO);
+        let mut oracle: Vec<ContainerRecord> = mgr.records().to_vec();
+        let events = hwsim::CounterBlock::default();
+        let mut now_ms = 0u64;
+        for op in ops.iter().chain([JournalOp::Crash, JournalOp::Crash].iter()) {
+            now_ms += 1;
+            let now = SimTime::from_millis(now_ms);
+            match *op {
+                JournalOp::Bind(c) => mgr.bind(ContextId(c), now),
+                JournalOp::Label(c, l) => mgr.set_label(ContextId(c), l, now),
+                JournalOp::Attribute(c, w, d, dt) => {
+                    mgr.attribute(c.map(ContextId), w, d, dt, &events, now)
+                }
+                JournalOp::Io(c, j) => mgr.attribute_io(c.map(ContextId), j, now),
+                JournalOp::Unbind(c) => mgr.unbind(ContextId(c), now),
+                JournalOp::Checkpoint => {
+                    cp = mgr.checkpoint(now);
+                    oracle = mgr.records().to_vec();
+                }
+                JournalOp::Crash => {
+                    mgr = restore_against_oracle(&mut mgr, &cp, &oracle, now)?;
+                    cp = mgr.checkpoint(now);
+                    oracle = mgr.records().to_vec();
+                }
+                JournalOp::DrainAndProvision => {
+                    cp = mgr.checkpoint(now);
+                    oracle = mgr.records().to_vec();
+                    prop_assert_eq!(cp.records_len, mgr.records().len());
+                    now_ms += 50;
+                    let ready = SimTime::from_millis(now_ms);
+                    mgr = restore_against_oracle(&mut mgr, &cp, &oracle, ready)?;
+                    cp = mgr.checkpoint(ready);
+                    oracle = mgr.records().to_vec();
+                }
+            }
+        }
     }
 }
 
@@ -381,8 +541,6 @@ proptest! {
         // end — the crash's loss window.
         stale_by in 1usize..40,
     ) {
-        use power_containers::ManagerCheckpoint;
-
         let mut mgr = ContainerManager::new(true);
         let events = hwsim::CounterBlock::default();
         let mut stale = ManagerCheckpoint::empty();
@@ -454,7 +612,7 @@ proptest! {
         // Restoring the drain checkpoint hands the totals to the next
         // incarnation exactly.
         let mut fresh = ContainerManager::new(true);
-        fresh.restore(&drain, SimTime::from_millis(1 + steps.len() as u64));
+        fresh.restore(&drain, mgr.take_records(), SimTime::from_millis(1 + steps.len() as u64));
         let restored = fresh.total_energy_with_background_j()
             + fresh.total_request_io_energy_j()
             + fresh.background().io_energy_j();
