@@ -8,22 +8,25 @@
 
 use hwsim::MachineSpec;
 use simkern::SimDuration;
-use workloads::{run_app, LoadLevel, MachineCalibration, RunConfig, WorkloadKind};
+use workloads::{run_app, LoadLevel, MachineCalibration, RunConfig, RunOutcome, WorkloadKind};
 
 /// Mean per-request active energy of `kind` at peak load on `spec`, in
-/// Joules, profiled through power containers.
+/// Joules, profiled through power containers. `observe` sees the
+/// profiling run's outcome (for callers that tally their runs).
 pub fn mean_request_energy_j(
     kind: WorkloadKind,
     spec: &MachineSpec,
     cal: &MachineCalibration,
     seed: u64,
     duration: SimDuration,
+    observe: &mut dyn FnMut(&RunOutcome),
 ) -> f64 {
     let mut cfg = RunConfig::new(spec.clone());
     cfg.seed = seed;
     cfg.load = LoadLevel::Peak;
     cfg.duration = duration;
     let outcome = run_app(kind, &cfg, cal);
+    observe(&outcome);
     let f = outcome.facility.borrow();
     let records = f.containers().records();
     let finished: Vec<f64> = records
@@ -58,20 +61,25 @@ impl AffinityRow {
 }
 
 /// Profiles the cross-machine energy ratio of each workload between two
-/// machines (Fig. 13's SandyBridge-over-Woodcrest ratios).
+/// machines (Fig. 13's SandyBridge-over-Woodcrest ratios). `observe`
+/// sees every profiling run's outcome, in profiling order.
 pub fn energy_affinity(
     kinds: &[WorkloadKind],
     new_machine: (&MachineSpec, &MachineCalibration),
     old_machine: (&MachineSpec, &MachineCalibration),
     seed: u64,
     duration: SimDuration,
+    mut observe: impl FnMut(&RunOutcome),
 ) -> Vec<AffinityRow> {
+    let mut mean = |kind, (spec, cal): (&MachineSpec, &MachineCalibration)| {
+        mean_request_energy_j(kind, spec, cal, seed, duration, &mut observe)
+    };
     kinds
         .iter()
         .map(|&kind| AffinityRow {
             kind,
-            new_machine_j: mean_request_energy_j(kind, new_machine.0, new_machine.1, seed, duration),
-            old_machine_j: mean_request_energy_j(kind, old_machine.0, old_machine.1, seed, duration),
+            new_machine_j: mean(kind, new_machine),
+            old_machine_j: mean(kind, old_machine),
         })
         .collect()
 }

@@ -845,6 +845,9 @@ pub struct ClusterOutcome {
     pub policy: &'static str,
     /// Per-node breakdown (same order as the config).
     pub per_node: Vec<NodeOutcome>,
+    /// Graceful-degradation decisions across the fleet: every node's
+    /// facility counters plus the dispatcher's retries and drops.
+    pub degrade: power_containers::DegradeStats,
     /// End-to-end response-time summary per application, seconds.
     pub response_by_app: Vec<(WorkloadKind, Summary)>,
     /// Per-application attributed energy, Joules — the dispatcher's
@@ -2780,21 +2783,12 @@ fn run_engine(
             cfg.telemetry.absorb(&node.tele);
         }
     }
-    let mut cluster_degrade = nodes
+    let mut degrade = nodes
         .iter()
         .map(|n| n.facility.borrow().degrade_stats())
         .fold(power_containers::DegradeStats::default(), |acc, d| acc + d);
-    cluster_degrade.requests_retried += retried;
-    cluster_degrade.requests_shed += dropped;
-    workloads::note_degrade(cluster_degrade);
-    workloads::note_requests(dispatched);
-    workloads::note_autoscale(workloads::AutoscaleDigest {
-        scale_outs,
-        scale_ins,
-        upgrades,
-        brownout_engagements,
-        shed_optional: shed[ShedReason::BrownoutOptional.index()],
-    });
+    degrade.requests_retried += retried;
+    degrade.requests_shed += dropped;
 
     let secs = cfg.duration.as_secs_f64();
     // Close the books on uptime: nodes still active (or draining) at
@@ -2971,19 +2965,9 @@ fn run_engine(
             Vec::new()
         };
     let obs_outcome = obs.map(|o| Box::new(o.finish(provenance)));
-    if let Some(o) = obs_outcome.as_ref() {
-        workloads::note_obs(workloads::ObsDigest {
-            alerts: o.report.alerts.len() as u64,
-            p99_j_per_req: o
-                .report
-                .sketches
-                .get("energy_j_per_req/fleet")
-                .map(|s| s.quantile(0.99))
-                .unwrap_or(0.0),
-        });
-    }
     ClusterOutcome {
         policy: policies[0].name(),
+        degrade,
         per_node,
         response_by_app,
         energy_by_app_j,

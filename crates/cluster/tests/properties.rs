@@ -215,9 +215,9 @@ fn assert_conservation(o: &ClusterOutcome) {
     // request contributes one injection per stage it reached, and the
     // requests still inside the pipeline are queued on exactly one shard.
     assert_eq!(stage_injections, stage_completions + still_queued);
-    assert!(
-        o.in_flight <= still_queued + o.in_flight,
-        "sanity: dispatcher in-flight ledger"
+    assert_eq!(
+        o.in_flight, still_queued,
+        "dispatcher in-flight ledger must match the shards' queues"
     );
     assert!(o.completed > 0, "a healthy small run must complete requests");
 }

@@ -9,7 +9,7 @@
 //! really were power viruses.
 
 use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use ossim::ContextId;
 use serde::Serialize;
 use simkern::{SimDuration, SimTime};
@@ -34,15 +34,15 @@ pub struct Anomaly {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Anomaly {
+pub fn run(ctx: &RunCtx) -> Anomaly {
     banner("anomaly", "online power-anomaly detection from live container reports");
     let mut lab = Lab::new();
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut cfg = RunConfig::new(spec);
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.load = LoadLevel::Peak;
-    cfg.duration = SimDuration::from_secs(scale.run_secs());
+    cfg.duration = SimDuration::from_secs(ctx.scale.run_secs());
     let mut prepared = prepare_app(std::rc::Rc::from(WorkloadKind::GaeHybrid.app()), &cfg, &cal);
 
     // Poll the live report every 40 ms, like an operator dashboard.
@@ -58,6 +58,7 @@ pub fn run(scale: Scale) -> Anomaly {
         }
     }
     let outcome = prepared.finish();
+    ctx.note(&outcome);
     let stats = outcome.stats.borrow();
     let mut viruses = 0usize;
     let mut normals = 0usize;

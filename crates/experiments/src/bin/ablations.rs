@@ -1,4 +1,4 @@
-//! Regenerates the design-choice ablation study. Pass `--quick` for a fast run.
+//! Regenerates the design-choice ablation study. Flags as in `RunCtx::parse`.
 fn main() {
-    let _ = experiments::ablations::run(experiments::Scale::from_args());
+    experiments::ablations::run(&experiments::RunCtx::from_args());
 }

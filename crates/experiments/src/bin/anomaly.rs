@@ -1,4 +1,4 @@
-//! Regenerates the anomaly-detection study. Pass `--quick` for a fast run.
+//! Regenerates the anomaly-detection study. Flags as in `RunCtx::parse`.
 fn main() {
-    let _ = experiments::anomaly::run(experiments::Scale::from_args());
+    experiments::anomaly::run(&experiments::RunCtx::from_args());
 }

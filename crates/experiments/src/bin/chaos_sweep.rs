@@ -1,5 +1,5 @@
-//! Regenerates the chaos ladder (fault mixes × recovery invariants).
-//! Pass `--quick` for a fast run.
+//! Regenerates the chaos ladder (fault mixes × recovery invariants). Flags as
+//! in `RunCtx::parse`.
 fn main() {
-    let _ = experiments::chaos_sweep::run(experiments::Scale::from_args());
+    experiments::chaos_sweep::run(&experiments::RunCtx::from_args());
 }

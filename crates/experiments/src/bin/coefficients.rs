@@ -1,4 +1,5 @@
-//! Regenerates the paper's coefficients artifact. Pass `--quick` for a fast run.
+//! Regenerates the paper's coefficients artifact. Flags as in
+//! `RunCtx::parse`.
 fn main() {
-    let _ = experiments::coefficients::run(experiments::Scale::from_args());
+    experiments::coefficients::run(&experiments::RunCtx::from_args());
 }

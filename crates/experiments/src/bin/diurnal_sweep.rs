@@ -1,10 +1,5 @@
-//! Diurnal traffic / flash-crowd / elastic-autoscaler sweep binary.
-
-use experiments::runner;
-
+//! Regenerates the diurnal traffic / flash-crowd / elastic-autoscaler sweep.
+//! Flags as in `RunCtx::parse`.
 fn main() {
-    runner::set_jobs(runner::jobs_from_args());
-    runner::set_shards(runner::shards_from_args());
-    runner::set_trace_dir(runner::trace_dir_from_args());
-    let _ = experiments::diurnal_sweep::run(experiments::Scale::from_args());
+    experiments::diurnal_sweep::run(&experiments::RunCtx::from_args());
 }

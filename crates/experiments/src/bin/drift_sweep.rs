@@ -1,10 +1,6 @@
-//! Runs the drift study: the self-calibrating model bank vs the single
-//! rolling model across a seeded ladder of regime shifts.
-
-use experiments::{drift_sweep, runner, Scale};
-
+//! Regenerates the drift study: the self-calibrating model bank vs the single
+//! rolling model across a seeded ladder of regime shifts. Flags as in
+//! `RunCtx::parse`.
 fn main() {
-    runner::set_jobs(runner::jobs_from_args());
-    runner::set_trace_dir(runner::trace_dir_from_args());
-    drift_sweep::run(Scale::from_args());
+    experiments::drift_sweep::run(&experiments::RunCtx::from_args());
 }

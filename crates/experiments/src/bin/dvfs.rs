@@ -1,4 +1,5 @@
-//! Regenerates the DVFS-vs-conditioning capping study. Pass `--quick` for a fast run.
+//! Regenerates the DVFS-vs-conditioning capping study. Flags as in
+//! `RunCtx::parse`.
 fn main() {
-    let _ = experiments::dvfs::run(experiments::Scale::from_args());
+    experiments::dvfs::run(&experiments::RunCtx::from_args());
 }

@@ -1,5 +1,5 @@
-//! Regenerates the fault-injection robustness sweep. Pass `--quick` for
-//! a fast run.
+//! Regenerates the fault-injection robustness sweep. Flags as in
+//! `RunCtx::parse`.
 fn main() {
-    let _ = experiments::fault_sweep::run(experiments::Scale::from_args());
+    experiments::fault_sweep::run(&experiments::RunCtx::from_args());
 }

@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig3 artifact. Pass `--quick` for a fast run.
+//! Regenerates the paper's fig3 artifact. Flags as in `RunCtx::parse`.
 fn main() {
-    let _ = experiments::fig03::run(experiments::Scale::from_args());
+    experiments::fig03::run(&experiments::RunCtx::from_args());
 }

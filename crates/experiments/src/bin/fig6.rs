@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig6 artifact. Pass `--quick` for a fast run.
+//! Regenerates the paper's fig6 artifact. Flags as in `RunCtx::parse`.
 fn main() {
-    let _ = experiments::fig06::run(experiments::Scale::from_args());
+    experiments::fig06::run(&experiments::RunCtx::from_args());
 }

@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig8 artifact. Pass `--quick` for a fast run.
+//! Regenerates the paper's fig8 artifact. Flags as in `RunCtx::parse`.
 fn main() {
-    let _ = experiments::fig08::run(experiments::Scale::from_args());
+    experiments::fig08::run(&experiments::RunCtx::from_args());
 }

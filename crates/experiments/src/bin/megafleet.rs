@@ -1,13 +1,5 @@
-//! Regenerates the megafleet capacity sweep (nodes × requests). Pass
-//! `--quick` for the CI smoke grid, `--shards N` for intra-cell worker
-//! threads, `--jobs N` for concurrent cells, `--trace DIR` for
-//! telemetry export. Results are byte-identical at any shard and job
-//! count.
-use experiments::runner;
-
+//! Regenerates the megafleet capacity sweep (nodes × requests). Flags as in
+//! `RunCtx::parse`.
 fn main() {
-    runner::set_jobs(runner::jobs_from_args());
-    runner::set_shards(runner::shards_from_args());
-    runner::set_trace_dir(runner::trace_dir_from_args());
-    let _ = experiments::megafleet::run(experiments::Scale::from_args());
+    experiments::megafleet::run(&experiments::RunCtx::from_args());
 }

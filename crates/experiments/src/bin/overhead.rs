@@ -1,4 +1,4 @@
-//! Regenerates the paper's overhead artifact. Pass `--quick` for a fast run.
+//! Regenerates the paper's overhead artifact. Flags as in `RunCtx::parse`.
 fn main() {
-    let _ = experiments::overhead::run(experiments::Scale::from_args());
+    experiments::overhead::run(&experiments::RunCtx::from_args());
 }

@@ -1,5 +1,5 @@
-//! Regenerates the fleet scale sweep (nodes × policy × cap). Pass
-//! `--quick` for a fast run.
+//! Regenerates the fleet scale sweep (nodes × policy × cap). Flags as in
+//! `RunCtx::parse`.
 fn main() {
-    let _ = experiments::scale_sweep::run(experiments::Scale::from_args());
+    experiments::scale_sweep::run(&experiments::RunCtx::from_args());
 }

@@ -1,7 +1,5 @@
-//! Regenerates the cross-scheduler attribution conformance sweep. Pass
-//! `--quick` for a fast run, `--trace DIR` for decision traces.
+//! Regenerates the cross-scheduler attribution conformance sweep. Flags as in
+//! `RunCtx::parse`.
 fn main() {
-    experiments::runner::set_jobs(experiments::runner::jobs_from_args());
-    experiments::runner::set_trace_dir(experiments::runner::trace_dir_from_args());
-    let _ = experiments::sched_sweep::run(experiments::Scale::from_args());
+    experiments::sched_sweep::run(&experiments::RunCtx::from_args());
 }

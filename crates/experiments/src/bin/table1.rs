@@ -1,4 +1,4 @@
-//! Regenerates the paper's table1 artifact. Pass `--quick` for a fast run.
+//! Regenerates the paper's table1 artifact. Flags as in `RunCtx::parse`.
 fn main() {
-    let _ = experiments::table1::run(experiments::Scale::from_args());
+    experiments::table1::run(&experiments::RunCtx::from_args());
 }

@@ -5,7 +5,7 @@
 //! maximum active-power impact `C·M_max` over the calibration set.
 
 use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use power_containers::{MetricVector, FEATURES};
 use serde::Serialize;
 
@@ -34,7 +34,7 @@ const PAPER_CMMAX: [Option<f64>; FEATURES] = [
 ];
 
 /// Runs the experiment.
-pub fn run(_scale: Scale) -> Coefficients {
+pub fn run(_ctx: &RunCtx) -> Coefficients {
     banner("coefficients", "calibrated SandyBridge model (C·M_max form, §4.1)");
     let mut lab = Lab::new();
     let cal = lab.calibration("sandybridge");

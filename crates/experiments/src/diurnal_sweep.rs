@@ -25,13 +25,13 @@
 //!    beats the fixed fleet by at least 20 % J/request.
 //!
 //! Cells are independent seeded simulations and fan out across
-//! [`crate::runner::jobs`] workers; intra-cell shard count comes from
-//! [`crate::runner::shards`]. Records and traces carry only simulated
+//! [`RunCtx::jobs`] workers; intra-cell shard count comes from
+//! [`RunCtx::shards`]. Records and traces carry only simulated
 //! timestamps, so results are byte-identical at any `--jobs` and any
 //! `--shards` count.
 
 use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx, Scale};
 use cluster::{
     offered_cluster_rate, run_cluster, AdmissionConfig, AutoscaleConfig, ClusterConfig,
     RecoveryConfig, RollingUpgrade, ScaleKind, ShedReason, SimpleBalance, Topology,
@@ -157,12 +157,12 @@ pub fn shape_for(scenario: &DiurnalScenario, day: SimDuration) -> TrafficShape {
 /// Builds one cell's cluster config (shared with the test suites and
 /// the CI smoke job, so those cells are exactly sweep cells). The day
 /// length is sized from the full fleet's offered rate so the ladder
-/// issues `target_requests` per cell regardless of fleet size.
+/// issues `target_requests` per cell regardless of fleet size. Flags are
+/// at their defaults (round-robin, one shard, no obs plane); [`run_cell`]
+/// applies the context on top.
 pub fn cell_config(scale: Scale, scenario: &DiurnalScenario, autoscaled: bool) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::scaled_fleet(fleet_nodes(scale)));
-    cfg.sched = vec![crate::runner::sched_kind()];
     cfg.seed = crate::SEED;
-    cfg.shards = crate::runner::shards();
     cfg.volume = VOLUME;
     let rate = offered_cluster_rate(&cfg);
     let secs = (target_requests(scale) / rate).max(4.0);
@@ -195,7 +195,6 @@ pub fn cell_config(scale: Scale, scenario: &DiurnalScenario, autoscaled: bool) -
         }
         cfg.autoscale = Some(ac);
     }
-    cfg.obs = crate::runner::obs_config();
     cfg
 }
 
@@ -300,24 +299,28 @@ pub struct DiurnalSweep {
 /// Runs one arm of one rung and checks its invariants. Shared with the
 /// CI smoke test.
 pub fn run_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     scenario: &DiurnalScenario,
     autoscaled: bool,
     cals: &[MachineCalibration],
 ) -> DiurnalRow {
+    let scale = ctx.scale;
     let mut cfg = cell_config(scale, scenario, autoscaled);
+    ctx.apply(&mut cfg);
+    cfg.shards = ctx.shards;
     // Tracing is restricted to the quick ladder: a recording sink holds
     // every event in memory, and a full-scale cell offers ~4×10⁵
     // requests.
     if scale == Scale::Quick {
-        cfg.telemetry = crate::runner::trace_handle();
+        cfg.telemetry = ctx.telemetry();
     }
     let arm = if autoscaled { "autoscaled" } else { "fixed" };
     let t0 = std::time::Instant::now();
     let o = run_cluster(&mut SimpleBalance::new(), &cfg, cals);
     let wall = t0.elapsed();
+    ctx.note(&o);
     if scale == Scale::Quick {
-        crate::runner::write_trace(
+        ctx.write_trace(
             "diurnal_sweep",
             &crate::runner::slug(&format!("{}-{arm}", scenario.name)),
             &cfg.telemetry,
@@ -427,7 +430,7 @@ pub fn run_cell(
 }
 
 /// Runs the ladder (both arms per rung) and prints the comparison.
-pub fn run(scale: Scale) -> DiurnalSweep {
+pub fn run(ctx: &RunCtx) -> DiurnalSweep {
     banner(
         "diurnal-sweep",
         "diurnal traffic, flash-crowd survival, elastic autoscaler vs fixed fleet",
@@ -436,17 +439,14 @@ pub fn run(scale: Scale) -> DiurnalSweep {
     let tasks: Vec<_> = SCENARIOS
         .iter()
         .flat_map(|sc| {
-            let cals = cell_calibrations(&mut lab, &cell_config(scale, sc, false));
+            let cals = cell_calibrations(&mut lab, &cell_config(ctx.scale, sc, false));
             [false, true].map(|autoscaled| {
                 let cals = cals.clone();
-                move || run_cell(scale, sc, autoscaled, &cals)
+                move || run_cell(ctx, sc, autoscaled, &cals)
             })
         })
         .collect();
-    let rows: Vec<DiurnalRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("diurnal-sweep cell failed: {e}"));
+    let rows: Vec<DiurnalRow> = ctx.run_cells("diurnal-sweep cell", tasks);
 
     let mut table = Table::new([
         "scenario",
@@ -514,7 +514,7 @@ pub fn run(scale: Scale) -> DiurnalSweep {
         }
     }
     let upgrades_completed = SCENARIOS.iter().enumerate().all(|(i, sc)| {
-        !sc.upgrade || rows[2 * i + 1].upgrades == upgrade_count(scale) as u64
+        !sc.upgrade || rows[2 * i + 1].upgrades == upgrade_count(ctx.scale) as u64
     });
     assert!(upgrades_completed, "the upgrade rung dropped scheduled swaps");
 

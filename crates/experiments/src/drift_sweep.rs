@@ -19,12 +19,12 @@
 //! bank's error returns to within 1.2× its steady-state level inside a
 //! bounded window, while the single-model baseline's post-shift error
 //! stays diverged (above that bound on average). Rungs are independent
-//! seeded simulations fanned out across [`crate::runner::jobs`] workers;
+//! seeded simulations fanned out across [`RunCtx::jobs`] workers;
 //! records and traces carry only simulated timestamps, so results are
 //! byte-identical at any `--jobs` count.
 
 use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx, Scale};
 use hwsim::{ChipId, FaultConfig, FreqScale, GroundTruthPower};
 use power_containers::{Approach, BankConfig};
 use serde::Serialize;
@@ -320,10 +320,10 @@ fn fxhash(name: &str) -> u64 {
 /// Builds one cell's run config (shared with the test suites, so the CI
 /// smoke cell is exactly a sweep cell). The single and banked variants
 /// of a rung share a seed: identical arrival streams, only the metering
-/// engine differs.
+/// engine differs. The kernel policy is the default; [`run_cell`]
+/// applies the context's.
 pub fn cell_config(scale: Scale, scenario: &DriftScenario, banked: bool) -> RunConfig {
     let mut cfg = RunConfig::new(hwsim::MachineSpec::sandybridge());
-    cfg.sched = crate::runner::sched_kind();
     cfg.approach = Approach::Recalibrated;
     cfg.load = LoadLevel::Half;
     cfg.duration = SimDuration::from_secs(cell_secs(scale));
@@ -341,14 +341,15 @@ pub fn cell_config(scale: Scale, scenario: &DriftScenario, banked: bool) -> RunC
 /// buckets, applies the rung's shifts at bucket boundaries, and records
 /// the per-bucket attribution error. Shared with the CI smoke test.
 pub fn run_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     scenario: &DriftScenario,
     banked: bool,
     cal: &workloads::MachineCalibration,
 ) -> DriftCell {
-    let mut cfg = cell_config(scale, scenario, banked);
-    cfg.telemetry = crate::runner::trace_handle();
-    let buckets = (cell_secs(scale) * 1000 / BUCKET_MS) as usize;
+    let mut cfg = cell_config(ctx.scale, scenario, banked);
+    cfg.sched = ctx.sched.clone();
+    cfg.telemetry = ctx.telemetry();
+    let buckets = (cell_secs(ctx.scale) * 1000 / BUCKET_MS) as usize;
     let mut prepared = prepare_app(Rc::from(WorkloadKind::GaeVosao.app()), &cfg, cal);
 
     // The phase driver runs for the whole cell at a constant rate; only
@@ -396,7 +397,8 @@ pub fn run_cell(
         (last_true, last_attr) = (te, ae);
     }
     let outcome = prepared.finish();
-    crate::runner::write_trace(
+    ctx.note(&outcome);
+    ctx.write_trace(
         "drift_sweep",
         &format!(
             "{}-{}",
@@ -475,7 +477,7 @@ pub fn apply_bound(cell: &mut DriftCell, bound: f64) {
 }
 
 /// Runs the ladder and prints the grid.
-pub fn run(scale: Scale) -> DriftSweep {
+pub fn run(ctx: &RunCtx) -> DriftSweep {
     banner("drift-sweep", "model bank vs single model across a regime-shift ladder");
     let mut lab = Lab::new();
     let cal = lab.calibration("sandybridge");
@@ -486,13 +488,10 @@ pub fn run(scale: Scale) -> DriftSweep {
         .flat_map(|sc| [(sc, false), (sc, true)])
         .map(|(sc, banked)| {
             let cal = cal.clone();
-            move || run_cell(scale, sc, banked, &cal)
+            move || run_cell(ctx, sc, banked, &cal)
         })
         .collect();
-    let cells: Vec<DriftCell> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("drift-sweep cell failed: {e}"));
+    let cells: Vec<DriftCell> = ctx.run_cells("drift-sweep cell", tasks);
 
     let rows: Vec<DriftRungRow> = SCENARIOS
         .iter()

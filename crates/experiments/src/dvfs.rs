@@ -10,7 +10,7 @@
 
 use crate::fig11::SATURATING_LOAD;
 use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use analysis::stats::Summary;
 use hwsim::{ChipId, FreqScale};
 use power_containers::ConditioningPolicy;
@@ -69,6 +69,7 @@ fn static_point_for(peak_w: f64, target_w: f64) -> FreqScale {
 }
 
 fn run_once(
+    ctx: &RunCtx,
     lab: &mut Lab,
     mechanism: CapMechanism,
     target: f64,
@@ -80,7 +81,7 @@ fn run_once(
     let duration = SimDuration::from_secs(secs);
     let virus_start = SimTime::from_secs(secs / 4);
     let mut cfg = RunConfig::new(spec);
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.load = SATURATING_LOAD;
     cfg.closed_loop = Some(2 * cfg.spec.total_cores());
     cfg.duration = duration;
@@ -128,6 +129,7 @@ fn run_once(
         }
     }
     let outcome = prepared.finish();
+    ctx.note(&outcome);
     let stats = outcome.stats.borrow();
     let mut normal = Summary::new();
     let mut virus = Summary::new();
@@ -152,22 +154,23 @@ fn run_once(
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> DvfsCapping {
+pub fn run(ctx: &RunCtx) -> DvfsCapping {
     banner(
         "dvfs",
         "power capping: per-request conditioning vs whole-machine DVFS",
     );
     let mut lab = Lab::new();
-    let secs = scale.run_secs().max(8);
+    let secs = ctx.scale.run_secs().max(8);
     // Same target-setting procedure as Fig. 11.
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut probe_cfg = RunConfig::new(spec.clone());
-    probe_cfg.sched = crate::runner::sched_kind();
+    probe_cfg.sched = ctx.sched.clone();
     probe_cfg.load = SATURATING_LOAD;
     probe_cfg.closed_loop = Some(2 * probe_cfg.spec.total_cores());
     probe_cfg.duration = SimDuration::from_secs(3);
     let probe = workloads::run_app(WorkloadKind::GaeVosao, &probe_cfg, &cal);
+    ctx.note(&probe);
     // The paper's 40 W target sits just above the power of a machine whose
     // cores are all busy with *normal* requests: per-request budgets then
     // clear every Vosao request and catch only the viruses.
@@ -184,12 +187,12 @@ pub fn run(scale: Scale) -> DvfsCapping {
     };
     let target = spec.total_cores() as f64 * mean_normal_w * 1.06;
 
-    let baseline = run_once(&mut lab, CapMechanism::None, target, secs, 0.0);
+    let baseline = run_once(ctx, &mut lab, CapMechanism::None, target, secs, 0.0);
     let peak = baseline.peak_after_w;
     let runs = vec![
         baseline,
-        run_once(&mut lab, CapMechanism::PerRequestConditioning, target, secs, peak),
-        run_once(&mut lab, CapMechanism::MachineDvfs, target, secs, peak),
+        run_once(ctx, &mut lab, CapMechanism::PerRequestConditioning, target, secs, peak),
+        run_once(ctx, &mut lab, CapMechanism::MachineDvfs, target, secs, peak),
     ];
     let baseline_normal = runs[0].normal_response_ms;
     let mut table = Table::new([

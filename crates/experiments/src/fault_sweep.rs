@@ -9,7 +9,8 @@
 //! panics anywhere in the sweep.
 
 use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::runner::slug;
+use crate::{Lab, RunCtx};
 use hwsim::FaultConfig;
 use serde::Serialize;
 use simkern::SimDuration;
@@ -46,27 +47,28 @@ pub struct FaultSweep {
 fn sweep_point(
     spec: &hwsim::MachineSpec,
     cal: &workloads::MachineCalibration,
-    scale: Scale,
+    ctx: &RunCtx,
     scenario: &str,
     faults: FaultConfig,
 ) -> FaultSweepRow {
     let mut cfg = RunConfig::new(spec.clone());
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.approach = power_containers::Approach::Recalibrated;
     cfg.load = LoadLevel::Half;
-    cfg.duration = SimDuration::from_secs(scale.run_secs());
+    cfg.duration = SimDuration::from_secs(ctx.scale.run_secs());
     let dropout = faults.meter_dropout;
     cfg.faults = faults;
-    cfg.telemetry = crate::runner::trace_handle();
+    cfg.telemetry = ctx.telemetry();
     let outcome = run_app(WorkloadKind::RsaCrypto, &cfg, cal);
+    ctx.note(&outcome);
     // Dropout rate keeps same-named scenarios (the meter-dropout rows)
     // from clobbering each other's trace files.
     let stem = format!(
         "{}-{}",
-        crate::runner::slug(scenario),
-        crate::runner::slug(&format!("{:04.1}pct", dropout * 100.0))
+        slug(scenario),
+        slug(&format!("{:04.1}pct", dropout * 100.0))
     );
-    crate::runner::write_trace("fault_sweep", &stem, &cfg.telemetry);
+    ctx.write_trace("fault_sweep", &stem, &cfg.telemetry);
     let completions = outcome.stats.borrow().completions().len();
     FaultSweepRow {
         scenario: scenario.to_string(),
@@ -79,9 +81,9 @@ fn sweep_point(
 }
 
 /// Runs the sweep and prints the table. Sweep points are independent
-/// seeded simulations, so they fan out across [`crate::runner::jobs`]
+/// seeded simulations, so they fan out across [`RunCtx::jobs`]
 /// workers; rows keep the canonical order (clean first).
-pub fn run(scale: Scale) -> FaultSweep {
+pub fn run(ctx: &RunCtx) -> FaultSweep {
     banner("fault-sweep", "attribution accuracy under injected hardware faults");
     let mut lab = Lab::new();
     let spec = lab.spec("sandybridge");
@@ -113,13 +115,10 @@ pub fn run(scale: Scale) -> FaultSweep {
         .map(|(scenario, faults)| {
             let spec = spec.clone();
             let cal = cal.clone();
-            move || sweep_point(&spec, &cal, scale, scenario, faults)
+            move || sweep_point(&spec, &cal, ctx, scenario, faults)
         })
         .collect();
-    let rows: Vec<FaultSweepRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("fault-sweep point failed: {e}"));
+    let rows: Vec<FaultSweepRow> = ctx.run_cells("fault-sweep point", tasks);
     let clean_error = rows[0].validation_error;
     let bound = (clean_error * 2.0).max(0.05);
     let within_bound = rows

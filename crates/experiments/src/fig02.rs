@@ -8,7 +8,7 @@
 //! exactly 1 ms and 1.2 s, so the correlation peak should land there.
 
 use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use serde::Serialize;
 use simkern::SimDuration;
 use workloads::{run_app, LoadLevel, RunConfig, WorkloadKind};
@@ -36,6 +36,7 @@ pub struct Fig2 {
 }
 
 fn scan_meter(
+    ctx: &RunCtx,
     lab: &mut Lab,
     meter: &'static str,
     step: SimDuration,
@@ -45,13 +46,14 @@ fn scan_meter(
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut cfg = RunConfig::new(spec.clone());
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.meter = Some(meter);
     cfg.align_step = Some(step);
     cfg.max_meter_delay = Some(max_delay);
     cfg.duration = SimDuration::from_secs(secs);
     cfg.load = LoadLevel::Half;
     let outcome = run_app(WorkloadKind::GaeHybrid, &cfg, &cal);
+    ctx.note(&outcome);
     let f = outcome.facility.borrow();
     let alignment = f
         .last_alignment()
@@ -76,23 +78,25 @@ fn scan_meter(
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig2 {
+pub fn run(ctx: &RunCtx) -> Fig2 {
     banner("fig2", "measurement/model alignment cross-correlation");
     let mut lab = Lab::new();
     let scans = vec![
         scan_meter(
+            ctx,
             &mut lab,
             "on-chip",
             SimDuration::from_millis(1),
             SimDuration::from_millis(20),
-            scale.run_secs().max(4),
+            ctx.scale.run_secs().max(4),
         ),
         scan_meter(
+            ctx,
             &mut lab,
             "wattsup",
             SimDuration::from_millis(50),
             SimDuration::from_millis(2000),
-            (scale.run_secs() * 2).max(16),
+            (ctx.scale.run_secs() * 2).max(16),
         ),
     ];
     let mut table = Table::new(["meter", "true delay", "estimated delay", "peak corr."]);

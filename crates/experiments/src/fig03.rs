@@ -5,7 +5,7 @@
 //! series. This experiment prints both series over a ~600 ms window.
 
 use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use serde::Serialize;
 use simkern::SimDuration;
 use workloads::{run_app, LoadLevel, RunConfig, WorkloadKind};
@@ -33,19 +33,20 @@ pub struct Fig3 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig3 {
+pub fn run(ctx: &RunCtx) -> Fig3 {
     banner("fig3", "aligned measurement/model power traces (on-chip meter)");
     let mut lab = Lab::new();
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut cfg = RunConfig::new(spec);
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.meter = Some("on-chip");
     cfg.align_step = Some(SimDuration::from_millis(1));
     cfg.max_meter_delay = Some(SimDuration::from_millis(20));
-    cfg.duration = SimDuration::from_secs(scale.run_secs().max(4));
+    cfg.duration = SimDuration::from_secs(ctx.scale.run_secs().max(4));
     cfg.load = LoadLevel::Half;
     let outcome = run_app(WorkloadKind::GaeHybrid, &cfg, &cal);
+    ctx.note(&outcome);
     let f = outcome.facility.borrow();
     let delay = f.aligned_delay().expect("alignment available");
     let period = f.meter_period();

@@ -6,7 +6,7 @@
 //! to every stage, as in the paper's annotated timeline.
 
 use crate::output::{banner, write_record, Table};
-use crate::Scale;
+use crate::RunCtx;
 use hwsim::Machine;
 use ossim::{Kernel, KernelConfig, TaskId};
 use power_containers::{Approach, FacilityConfig, PowerContainerFacility};
@@ -43,7 +43,7 @@ pub struct Fig4 {
 }
 
 /// Runs the experiment.
-pub fn run(_scale: Scale) -> Fig4 {
+pub fn run(_ctx: &RunCtx) -> Fig4 {
     banner("fig4", "captured multi-stage WeBWorK request (per-stage power/energy)");
     let mut lab = crate::Lab::new();
     let spec = lab.spec("sandybridge");

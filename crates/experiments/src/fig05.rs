@@ -2,7 +2,8 @@
 //! peak and half load.
 
 use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::runner::slug;
+use crate::{Lab, RunCtx};
 use serde::Serialize;
 use simkern::SimDuration;
 use workloads::{run_app, LoadLevel, RunConfig, WorkloadKind};
@@ -31,9 +32,9 @@ pub struct Fig5 {
 
 /// Runs the experiment. Cells (machine × workload × load) are
 /// independent seeded simulations, so they fan out across
-/// [`crate::runner::jobs`] workers; assembly and printing follow the
+/// [`RunCtx::jobs`] workers; assembly and printing follow the
 /// canonical sweep order regardless of completion order.
-pub fn run(scale: Scale) -> Fig5 {
+pub fn run(ctx: &RunCtx) -> Fig5 {
     banner("fig5", "measured active power per workload, machine, load");
     let mut lab = Lab::new();
     let machines = ["woodcrest", "westmere", "sandybridge"];
@@ -47,17 +48,14 @@ pub fn run(scale: Scale) -> Fig5 {
                 let cal = cal.clone();
                 tasks.push(move || {
                     let mut cfg = RunConfig::new(spec);
-                    cfg.sched = crate::runner::sched_kind();
+                    cfg.sched = ctx.sched.clone();
                     cfg.load = load;
-                    cfg.duration = SimDuration::from_secs(scale.run_secs() / 2 + 2);
-                    cfg.telemetry = crate::runner::trace_handle();
+                    cfg.duration = SimDuration::from_secs(ctx.scale.run_secs() / 2 + 2);
+                    cfg.telemetry = ctx.telemetry();
                     let outcome = run_app(kind, &cfg, &cal);
-                    let stem = format!(
-                        "{machine}-{}-{}",
-                        crate::runner::slug(kind.name()),
-                        crate::runner::slug(load.name())
-                    );
-                    crate::runner::write_trace("fig05", &stem, &cfg.telemetry);
+                    ctx.note(&outcome);
+                    let stem = format!("{machine}-{}-{}", slug(kind.name()), slug(load.name()));
+                    ctx.write_trace("fig05", &stem, &cfg.telemetry);
                     PowerCell {
                         machine: machine.to_string(),
                         workload: kind.name().to_string(),
@@ -69,10 +67,7 @@ pub fn run(scale: Scale) -> Fig5 {
             }
         }
     }
-    let cells: Vec<PowerCell> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("fig5 cell failed: {e}"));
+    let cells: Vec<PowerCell> = ctx.run_cells("fig5 cell", tasks);
     for machine in machines {
         let mut table = Table::new(["workload", "load", "active power (W)", "utilization"]);
         for cell in cells.iter().filter(|c| c.machine == machine) {

@@ -5,7 +5,7 @@
 //! moderate power and power viruses at substantially higher power.
 
 use crate::output::{banner, write_record};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use analysis::hist::Histogram;
 use serde::Serialize;
 use simkern::SimDuration;
@@ -34,17 +34,18 @@ pub struct Fig6 {
 }
 
 pub(crate) fn request_records(
+    ctx: &RunCtx,
     lab: &mut Lab,
     kind: WorkloadKind,
-    scale: Scale,
 ) -> Vec<power_containers::ContainerRecord> {
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
     let mut cfg = RunConfig::new(spec);
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.load = LoadLevel::Half;
-    cfg.duration = SimDuration::from_secs(scale.run_secs());
+    cfg.duration = SimDuration::from_secs(ctx.scale.run_secs());
     let outcome = run_app(kind, &cfg, &cal);
+    ctx.note(&outcome);
     let f = outcome.facility.borrow();
     f.containers()
         .records()
@@ -55,12 +56,12 @@ pub(crate) fn request_records(
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig6 {
+pub fn run(ctx: &RunCtx) -> Fig6 {
     banner("fig6", "mean request power distributions (half load, SandyBridge)");
     let mut lab = Lab::new();
     let mut distributions = Vec::new();
     for kind in [WorkloadKind::Solr, WorkloadKind::GaeHybrid] {
-        let records = request_records(&mut lab, kind, scale);
+        let records = request_records(ctx, &mut lab, kind);
         let mut hist = Histogram::new(0.0, 25.0, 25);
         let mut normal = analysis::stats::Summary::new();
         let mut virus = analysis::stats::Summary::new();

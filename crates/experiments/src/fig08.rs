@@ -8,7 +8,7 @@
 //! 8/9/6%.
 
 use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx, Scale};
 use power_containers::Approach;
 use serde::Serialize;
 use simkern::SimDuration;
@@ -46,13 +46,13 @@ fn approach_name(a: Approach) -> &'static str {
 
 /// Runs the experiment. Cells (machine × workload × load, with the
 /// three approaches evaluated inside a cell) are independent seeded
-/// simulations, so they fan out across [`crate::runner::jobs`] workers;
+/// simulations, so they fan out across [`RunCtx::jobs`] workers;
 /// assembly, worst-case reduction, and printing follow the canonical
 /// sweep order regardless of completion order.
-pub fn run(scale: Scale) -> Fig8 {
+pub fn run(ctx: &RunCtx) -> Fig8 {
     banner("fig8", "validation error of approaches #1/#2/#3");
     let mut lab = Lab::new();
-    let machines: &[&str] = match scale {
+    let machines: &[&str] = match ctx.scale {
         Scale::Full => &["woodcrest", "westmere", "sandybridge"],
         Scale::Quick => &["sandybridge"],
     };
@@ -64,9 +64,9 @@ pub fn run(scale: Scale) -> Fig8 {
         // for the recalibrator to accumulate aligned online samples (the
         // on-chip meter yields ~1000 windows per second instead).
         let secs = if spec.meters.iter().any(|m| m.name == "on-chip") {
-            scale.run_secs()
+            ctx.scale.run_secs()
         } else {
-            scale.run_secs() * 5 / 2
+            ctx.scale.run_secs() * 5 / 2
         };
         for kind in WorkloadKind::ALL {
             for load in [LoadLevel::Peak, LoadLevel::Half] {
@@ -76,11 +76,12 @@ pub fn run(scale: Scale) -> Fig8 {
                     let mut errors = [0.0f64; 3];
                     for (i, approach) in Approach::ALL.into_iter().enumerate() {
                         let mut cfg = RunConfig::new(spec.clone());
-                        cfg.sched = crate::runner::sched_kind();
+                        cfg.sched = ctx.sched.clone();
                         cfg.approach = approach;
                         cfg.load = load;
                         cfg.duration = SimDuration::from_secs(secs);
                         let outcome = run_app(kind, &cfg, &cal);
+                        ctx.note(&outcome);
                         errors[i] = outcome.validation_error();
                     }
                     ValidationCell {
@@ -93,10 +94,7 @@ pub fn run(scale: Scale) -> Fig8 {
             }
         }
     }
-    let cells: Vec<ValidationCell> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("fig8 cell failed: {e}"));
+    let cells: Vec<ValidationCell> = ctx.run_cells("fig8 cell", tasks);
     let mut worst_case = Vec::new();
     for &machine in machines {
         let mut table = Table::new(["workload", "load", "#1", "#2", "#3"]);

@@ -6,7 +6,7 @@
 //! processing.
 
 use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use serde::Serialize;
 use simkern::SimDuration;
 use workloads::{run_app, LoadLevel, RunConfig, WorkloadKind};
@@ -34,7 +34,7 @@ pub struct Fig9 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig9 {
+pub fn run(ctx: &RunCtx) -> Fig9 {
     banner("fig9", "GAE background processing share of active power");
     let mut lab = Lab::new();
     let spec = lab.spec("sandybridge");
@@ -50,10 +50,11 @@ pub fn run(scale: Scale) -> Fig9 {
     ]);
     for load in [LoadLevel::Peak, LoadLevel::Half] {
         let mut cfg = RunConfig::new(spec.clone());
-        cfg.sched = crate::runner::sched_kind();
+        cfg.sched = ctx.sched.clone();
         cfg.load = load;
-        cfg.duration = SimDuration::from_secs(scale.run_secs());
+        cfg.duration = SimDuration::from_secs(ctx.scale.run_secs());
         let outcome = run_app(WorkloadKind::GaeVosao, &cfg, &cal);
+        ctx.note(&outcome);
         let secs = outcome.end.as_secs_f64();
         let f = outcome.facility.borrow();
         let c = f.containers();

@@ -10,7 +10,7 @@
 
 use crate::mix::MixOverride;
 use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use serde::Serialize;
 use simkern::SimDuration;
 use std::collections::HashMap;
@@ -63,18 +63,19 @@ fn scenario(
     kind: WorkloadKind,
     new_labels: Vec<u32>,
     new_mean_cycles: f64,
-    scale: Scale,
+    ctx: &RunCtx,
 ) -> PredictionScenario {
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
-    let secs = scale.run_secs();
+    let secs = ctx.scale.run_secs();
 
     // 1. Profile the original composition at peak load.
     let mut cfg = RunConfig::new(spec.clone());
-    cfg.sched = crate::runner::sched_kind();
+    cfg.sched = ctx.sched.clone();
     cfg.load = LoadLevel::Peak;
     cfg.duration = SimDuration::from_secs(secs);
     let orig = run_app(kind, &cfg, &cal);
+    ctx.note(&orig);
     let orig_secs = orig.end.as_secs_f64();
     let p_orig = orig.measured_active_power_w();
     let r_orig = orig.stats.borrow().completions().len() as f64 / orig_secs;
@@ -118,11 +119,12 @@ fn scenario(
             new_mean_cycles,
         ));
         let mut cfg = RunConfig::new(spec.clone());
-        cfg.sched = crate::runner::sched_kind();
+        cfg.sched = ctx.sched.clone();
         cfg.load = LoadLevel::Fraction(fraction);
         cfg.duration = SimDuration::from_secs(secs);
         cfg.seed = crate::SEED + 17;
         let new_run = run_server_app(app, &cfg, &cal);
+        ctx.note(&new_run);
         let new_secs = new_run.end.as_secs_f64();
         let measured = new_run.measured_active_power_w();
         let r_new = new_run.stats.borrow().completions().len() as f64 / new_secs;
@@ -150,7 +152,7 @@ fn scenario(
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig10 {
+pub fn run(ctx: &RunCtx) -> Fig10 {
     banner("fig10", "power prediction at new request compositions");
     let mut lab = Lab::new();
     let scenarios = vec![
@@ -160,7 +162,7 @@ pub fn run(scale: Scale) -> Fig10 {
             WorkloadKind::RsaCrypto,
             vec![2],
             RsaCrypto::cycles_for(2),
-            scale,
+            ctx,
         ),
         scenario(
             &mut lab,
@@ -173,7 +175,7 @@ pub fn run(scale: Scale) -> Fig10 {
                 // Stage mix mirrors the app's difficulty scaling.
                 mean_d * (7.0e6 + 5.0e6 + 4.0e6 + 5.0e6 + 3.0e6) + 3.3e6
             },
-            scale,
+            ctx,
         ),
     ];
     for s in &scenarios {

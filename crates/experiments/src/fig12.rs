@@ -8,7 +8,7 @@
 
 use crate::fig11::conditioning_data;
 use crate::output::{banner, pct, write_record, Table};
-use crate::Scale;
+use crate::RunCtx;
 use analysis::stats::Summary;
 use serde::Serialize;
 use workloads::POWER_VIRUS_LABEL;
@@ -38,9 +38,9 @@ pub struct Fig12 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig12 {
+pub fn run(ctx: &RunCtx) -> Fig12 {
     banner("fig12", "original request power vs applied duty-cycle");
-    let data = conditioning_data(scale);
+    let data = conditioning_data(ctx);
     let outcome = &data.conditioned.1;
     let f = outcome.facility.borrow();
     let mut points = Vec::new();

@@ -6,7 +6,7 @@
 //! nearly indifferent).
 
 use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use cluster::energy_affinity;
 use serde::Serialize;
 use simkern::SimDuration;
@@ -33,7 +33,7 @@ pub struct Fig13 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig13 {
+pub fn run(ctx: &RunCtx) -> Fig13 {
     banner("fig13", "cross-machine energy usage ratio (SandyBridge / Woodcrest)");
     let mut lab = Lab::new();
     let sb = lab.spec("sandybridge");
@@ -52,7 +52,8 @@ pub fn run(scale: Scale) -> Fig13 {
         (&sb, &sb_cal),
         (&wc, &wc_cal),
         crate::SEED,
-        SimDuration::from_secs(scale.run_secs()),
+        SimDuration::from_secs(ctx.scale.run_secs()),
+        |o| ctx.note(o),
     );
     let mut table = Table::new(["workload", "SandyBridge (J)", "Woodcrest (J)", "ratio"]);
     let rows: Vec<RatioRow> = rows_raw

@@ -6,7 +6,7 @@
 //! simple balance and ~25% vs machine-heterogeneity-aware.
 
 use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx};
 use cluster::{
     energy_affinity, run_cluster, ClusterConfig, ClusterOutcome, DistributionPolicy,
     MachineHeterogeneityAware, SimpleBalance, WorkloadHeterogeneityAware,
@@ -40,7 +40,7 @@ pub struct Fig14 {
 }
 
 /// Runs the cluster under all three policies (shared with Table 1).
-pub fn cluster_outcomes(scale: Scale) -> Vec<ClusterOutcome> {
+pub fn cluster_outcomes(ctx: &RunCtx) -> Vec<ClusterOutcome> {
     let mut lab = Lab::new();
     let sb = lab.spec("sandybridge");
     let wc = lab.spec("woodcrest");
@@ -55,16 +55,16 @@ pub fn cluster_outcomes(scale: Scale) -> Vec<ClusterOutcome> {
         (&sb, &sb_cal),
         (&wc, &wc_cal),
         crate::SEED + 5,
-        SimDuration::from_secs(scale.run_secs() / 2 + 2),
+        SimDuration::from_secs(ctx.scale.run_secs() / 2 + 2),
+        |o| ctx.note(o),
     );
     let ratios: Vec<(WorkloadKind, f64)> =
         profile.iter().map(|r| (r.kind, r.ratio())).collect();
 
     let mut cfg = ClusterConfig::paper_setup();
-    cfg.sched = vec![crate::runner::sched_kind()];
-    cfg.duration = SimDuration::from_secs(scale.run_secs());
+    ctx.apply(&mut cfg);
+    cfg.duration = SimDuration::from_secs(ctx.scale.run_secs());
     cfg.seed = crate::SEED;
-    cfg.obs = crate::runner::obs_config();
     let cals = vec![sb_cal, wc_cal];
 
     let mut policies: Vec<Box<dyn DistributionPolicy>> = vec![
@@ -75,13 +75,14 @@ pub fn cluster_outcomes(scale: Scale) -> Vec<ClusterOutcome> {
     policies
         .iter_mut()
         .map(|p| run_cluster(p.as_mut(), &cfg, &cals))
+        .inspect(|o| ctx.note(o))
         .collect()
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Fig14 {
+pub fn run(ctx: &RunCtx) -> Fig14 {
     banner("fig14", "cluster energy rate under three distribution policies");
-    let outcomes = cluster_outcomes(scale);
+    let outcomes = cluster_outcomes(ctx);
     let mut policies = Vec::new();
     let mut table = Table::new([
         "policy",

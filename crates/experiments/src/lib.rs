@@ -1,11 +1,12 @@
 //! Experiment harness: regenerates every table and figure of the paper's
 //! evaluation (§4) from the simulated substrate.
 //!
-//! Each `figNN` module exposes a `run(scale)` function that executes the
-//! experiment, prints a paper-style text table, writes a JSON record
-//! under `results/`, and returns the data for programmatic checks. The
-//! corresponding `cargo run -p experiments --bin figNN` binaries are thin
-//! wrappers.
+//! Each `figNN` module exposes a `run(&RunCtx)` function that executes
+//! the experiment under the context's settings, prints a paper-style text
+//! table, writes a JSON record under `results/`, folds every simulation's
+//! statistics into the context's [`Tally`], and returns the data for
+//! programmatic checks. The corresponding `cargo run -p experiments --bin
+//! figNN` binaries are one-line wrappers over [`RunCtx::from_args`].
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -73,6 +74,10 @@ pub mod runner;
 pub mod scale_sweep;
 pub mod sched_sweep;
 pub mod table1;
+pub mod tally;
+
+pub use runner::RunCtx;
+pub use tally::{AutoscaleDigest, ObsDigest, Tally};
 
 use hwsim::MachineSpec;
 use workloads::MachineCalibration;
@@ -93,15 +98,6 @@ impl Scale {
         match self {
             Scale::Full => 12,
             Scale::Quick => 4,
-        }
-    }
-
-    /// Parses `--quick` from process args.
-    pub fn from_args() -> Scale {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Full
         }
     }
 }

@@ -11,13 +11,13 @@
 //! shards advance it.
 //!
 //! Cells are independent seeded simulations and fan out across
-//! [`crate::runner::jobs`] workers; intra-cell shard count comes from
-//! [`crate::runner::shards`]. The record carries no wall-clock values —
+//! [`RunCtx::jobs`] workers; intra-cell shard count comes from
+//! [`RunCtx::shards`]. The record carries no wall-clock values —
 //! per-cell wall time and throughput go to stderr — so `results/*.json`
 //! stay byte-identical at any `--jobs` *and* any `--shards` count.
 
 use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx, Scale};
 use cluster::{offered_cluster_rate, run_cluster, ClusterConfig, SimpleBalance, Topology};
 use serde::Serialize;
 use simkern::SimDuration;
@@ -85,16 +85,15 @@ const ENERGY_TOL: f64 = 0.20;
 /// Builds one cell's cluster config (shared with the test suites and
 /// the CI smoke job, so those cells are exactly sweep cells). Duration
 /// is sized from the fleet's offered rate so the open-loop generator
-/// issues `requests` regardless of fleet size.
+/// issues `requests` regardless of fleet size. Flags are at their
+/// defaults (round-robin, one shard, no obs plane); [`run`] applies the
+/// context on top.
 pub fn cell_config(nodes: usize, requests: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::scaled_fleet(nodes));
-    cfg.sched = vec![crate::runner::sched_kind()];
     cfg.seed = crate::SEED;
-    cfg.shards = crate::runner::shards();
     let rate = offered_cluster_rate(&cfg);
     let secs = (requests as f64 / rate).max(0.25);
     cfg.duration = SimDuration::from_millis((secs * 1e3).ceil() as u64);
-    cfg.obs = crate::runner::obs_config();
     cfg
 }
 
@@ -132,19 +131,28 @@ pub fn assert_cell_conserved(label: &str, outcome: &cluster::ClusterOutcome) {
     );
 }
 
-fn run_cell(nodes: usize, requests: u64, traced: bool, cals: &[MachineCalibration]) -> MegafleetRow {
+fn run_cell(
+    ctx: &RunCtx,
+    nodes: usize,
+    requests: u64,
+    traced: bool,
+    cals: &[MachineCalibration],
+) -> MegafleetRow {
     let mut cfg = cell_config(nodes, requests);
+    ctx.apply(&mut cfg);
+    cfg.shards = ctx.shards;
     // Tracing is restricted to the grid's smallest cell: a recording
     // sink holds every event in memory and a 10⁶-request cell emits
     // gigabytes, while the smallest cell already pins the schema.
     if traced {
-        cfg.telemetry = crate::runner::trace_handle();
+        cfg.telemetry = ctx.telemetry();
     }
     let t0 = std::time::Instant::now();
     let outcome = run_cluster(&mut SimpleBalance::new(), &cfg, cals);
     let wall = t0.elapsed();
+    ctx.note(&outcome);
     if traced {
-        crate::runner::write_trace(
+        ctx.write_trace(
             "megafleet",
             &format!("{nodes:04}nodes-{requests}req"),
             &cfg.telemetry,
@@ -180,22 +188,19 @@ fn run_cell(nodes: usize, requests: u64, traced: bool, cals: &[MachineCalibratio
 }
 
 /// Runs the sweep and prints the grid.
-pub fn run(scale: Scale) -> Megafleet {
+pub fn run(ctx: &RunCtx) -> Megafleet {
     banner("megafleet", "sharded single-cell capacity sweep (nodes x requests)");
     let mut lab = Lab::new();
-    let cells = fleet_cells(scale);
+    let cells = fleet_cells(ctx.scale);
     let tasks: Vec<_> = cells
         .iter()
         .enumerate()
         .map(|(i, &(nodes, requests))| {
             let cals = cell_calibrations(&mut lab, &cell_config(nodes, requests));
-            move || run_cell(nodes, requests, i == 0, &cals)
+            move || run_cell(ctx, nodes, requests, i == 0, &cals)
         })
         .collect();
-    let rows: Vec<MegafleetRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("megafleet cell failed: {e}"));
+    let rows: Vec<MegafleetRow> = ctx.run_cells("megafleet cell", tasks);
 
     let mut table = Table::new([
         "nodes",

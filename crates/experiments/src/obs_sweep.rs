@@ -19,7 +19,7 @@
 //! `.folded` flamegraph next to its trace.
 
 use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::{Lab, RunCtx, Scale};
 use cluster::{
     offered_cluster_rate, run_pipeline, AdmissionConfig, ClusterConfig, DistributionPolicy,
     ObsConfig, ObsOutcome, RecoveryConfig, SimpleBalance, Topology,
@@ -194,12 +194,11 @@ fn cell_rules(scenario: &ObsScenario) -> SloRules {
 }
 
 /// Builds one rung's cluster config (shared with the test suites, so
-/// the CI smoke cell is exactly a sweep cell).
+/// the CI smoke cell is exactly a sweep cell). Kernel policy and shard
+/// count are at their defaults; [`run_cell`] applies the context's.
 pub fn cell_config(scale: Scale, scenario: &ObsScenario) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(FLEET_NODES));
-    cfg.sched = vec![crate::runner::sched_kind()];
     cfg.seed = crate::SEED;
-    cfg.shards = crate::runner::shards();
     let rate = offered_cluster_rate(&cfg);
     let secs = (target_requests(scale) / rate).max(min_secs(scale));
     cfg.duration = SimDuration::from_millis((secs * 1e3).ceil() as u64);
@@ -313,20 +312,23 @@ pub struct ObsSweep {
 /// Runs one rung and checks its alert contract. Shared with the CI
 /// smoke test; returns the outcome so tests can pin the report bytes.
 pub fn run_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     scenario: &ObsScenario,
     cals: &[MachineCalibration],
 ) -> (ObsSweepRow, ObsOutcome) {
-    let mut cfg = cell_config(scale, scenario);
-    cfg.telemetry = crate::runner::trace_handle();
+    let mut cfg = cell_config(ctx.scale, scenario);
+    cfg.sched = vec![ctx.sched.clone()];
+    cfg.shards = ctx.shards;
+    cfg.telemetry = ctx.telemetry();
     let mut policies: Vec<Box<dyn DistributionPolicy>> = (0..cfg.tiers.len())
         .map(|_| Box::new(SimpleBalance::new()) as Box<dyn DistributionPolicy>)
         .collect();
     let o = run_pipeline(&mut policies, &cfg, cals);
+    ctx.note(&o);
     let stem = crate::runner::slug(scenario.name);
-    crate::runner::write_trace("obs_sweep", &stem, &cfg.telemetry);
+    ctx.write_trace("obs_sweep", &stem, &cfg.telemetry);
     let obs = *o.obs.clone().expect("obs plane was enabled");
-    write_obs_artifacts(&stem, &obs);
+    write_obs_artifacts(ctx, &stem, &obs);
 
     let row = summarize_cell(scenario.name, cfg.duration.as_secs_f64(), &o, &obs, scenario);
     assert!(
@@ -394,8 +396,8 @@ fn summarize_cell(
 
 /// Exports a rung's `.obs.json` report and `.folded` provenance next to
 /// its trace; a no-op unless `--trace` is active.
-fn write_obs_artifacts(stem: &str, obs: &ObsOutcome) {
-    let Some(root) = crate::runner::trace_dir() else { return };
+fn write_obs_artifacts(ctx: &RunCtx, stem: &str, obs: &ObsOutcome) {
+    let Some(root) = &ctx.trace_dir else { return };
     let dir = root.join("obs_sweep");
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
@@ -415,13 +417,16 @@ fn write_obs_artifacts(stem: &str, obs: &ObsOutcome) {
 /// Runs the megafleet always-on cell: a clean scaled fleet with the
 /// standard plane enabled (no provenance), which must conserve requests
 /// and stay alert-silent.
-pub fn run_megafleet_cell(scale: Scale, lab: &mut Lab) -> ObsSweepRow {
-    let (nodes, requests) = megafleet_cell(scale);
+pub fn run_megafleet_cell(ctx: &RunCtx, lab: &mut Lab) -> ObsSweepRow {
+    let (nodes, requests) = megafleet_cell(ctx.scale);
     let mut cfg = crate::megafleet::cell_config(nodes, requests);
+    ctx.apply(&mut cfg);
+    cfg.shards = ctx.shards;
     cfg.obs = Some(ObsConfig::standard());
     let cals = crate::megafleet::cell_calibrations(lab, &cfg);
     let mut policy = SimpleBalance::new();
     let o = cluster::run_cluster(&mut policy, &cfg, &cals);
+    ctx.note(&o);
     crate::megafleet::assert_cell_conserved("obs-megafleet", &o);
     let obs = *o.obs.clone().expect("obs plane was enabled");
     let scenario = ObsScenario {
@@ -446,22 +451,19 @@ pub fn run_megafleet_cell(scale: Scale, lab: &mut Lab) -> ObsSweepRow {
 }
 
 /// Runs the ladder and prints the grid.
-pub fn run(scale: Scale) -> ObsSweep {
+pub fn run(ctx: &RunCtx) -> ObsSweep {
     banner("obs-sweep", "energy-SLO burn-rate alerts over injected violations");
     let mut lab = Lab::new();
 
     let tasks: Vec<_> = SCENARIOS
         .iter()
         .map(|sc| {
-            let cals = cell_calibrations(&mut lab, &cell_config(scale, sc));
-            move || run_cell(scale, sc, &cals).0
+            let cals = cell_calibrations(&mut lab, &cell_config(ctx.scale, sc));
+            move || run_cell(ctx, sc, &cals).0
         })
         .collect();
-    let rows: Vec<ObsSweepRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("obs-sweep cell failed: {e}"));
-    let megafleet = run_megafleet_cell(scale, &mut lab);
+    let rows: Vec<ObsSweepRow> = ctx.run_cells("obs-sweep cell", tasks);
+    let megafleet = run_megafleet_cell(ctx, &mut lab);
 
     let mut table = Table::new([
         "scenario", "windows", "completed", "crashes", "cap-burn", "regress", "residual",

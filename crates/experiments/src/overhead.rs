@@ -7,7 +7,7 @@
 //! 784-byte per-container state.
 
 use crate::output::{banner, write_record, Table};
-use crate::Scale;
+use crate::{RunCtx, Scale};
 use hwsim::{ActivityProfile, CoreId, DutyCycle, Machine, MachineSpec};
 use ossim::{ContextId, KernelApi, KernelHooks, TaskId};
 use power_containers::{
@@ -111,9 +111,9 @@ fn bench_duty_set(iters: u32) -> f64 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Overhead {
+pub fn run(ctx: &RunCtx) -> Overhead {
     banner("overhead", "facility overhead (host-time microbenchmarks, §3.5)");
-    let iters: u32 = match scale {
+    let iters: u32 = match ctx.scale {
         Scale::Full => 200_000,
         Scale::Quick => 20_000,
     };

@@ -1,4 +1,11 @@
-//! Work-stealing parallel execution for independent experiment tasks.
+//! Run settings and work-stealing parallel execution for experiments.
+//!
+//! A [`RunCtx`] is the explicit state one experiment run carries: the
+//! scale and the `--jobs`/`--shards`/`--trace`/`--obs`/`--sched` flags
+//! going in, and a [`Tally`] of what its simulations did coming out.
+//! Every experiment's `run(&RunCtx)` reads its settings from the context
+//! and folds each finished outcome into it with [`RunCtx::note`]; no
+//! setting or statistic lives in process-global state.
 //!
 //! Every experiment (and every cell of the workload × machine sweeps) is
 //! an independent simulation that owns its seed, so tasks can run on any
@@ -9,142 +16,225 @@
 //! work stealing for identical queues.
 //!
 //! Determinism argument: parallelism affects only *when* a task runs and
-//! on which thread, never what it computes (no shared mutable state, no
-//! time- or thread-dependent inputs), and assembly order is the input
-//! order, so `run_all --jobs N` must produce byte-identical
+//! on which thread, never what it computes (no time- or thread-dependent
+//! inputs; the tally folds commutatively), and assembly order is the
+//! input order, so `run_all --jobs N` must produce byte-identical
 //! `results/*.json` for every N. An integration test enforces this.
 
+use crate::{Scale, Tally};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Process-wide worker count used by sweep experiments (fig. 5, fig. 8,
-/// the fault sweep) when fanning out their cells.
-static JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Process-wide intra-cell shard count: how many worker threads a
-/// single cluster cell partitions its node set across
-/// ([`cluster::ClusterConfig::shards`]). Orthogonal to [`jobs`], which
-/// fans out whole cells; results are byte-identical at every value of
-/// either.
-static SHARDS: AtomicUsize = AtomicUsize::new(1);
-
-/// Process-wide trace output directory (`--trace <dir>`); `None`
-/// disables tracing everywhere.
-static TRACE_DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Process-wide observability-plane switch (`--obs`): when set, every
-/// cluster experiment runs with the always-on [`cluster::ObsConfig`],
-/// feeding the run_all p99-energy and alert columns.
-static OBS: AtomicBool = AtomicBool::new(false);
-
-/// Process-wide kernel scheduling policy (`--sched rr|priority|cfs`):
-/// every workload- and cluster-level experiment boots its kernels with
-/// this policy. Calibration runs always stay round-robin so the shared
-/// calibration cache is scheduler-independent. Default: round-robin
-/// (byte-identical to the pre-trait kernels).
-static SCHED: Mutex<Option<ossim::SchedulerKind>> = Mutex::new(None);
-
-/// Sets the process-wide scheduling policy (`None` → round-robin).
-pub fn set_sched(kind: Option<ossim::SchedulerKind>) {
-    *SCHED.lock().unwrap_or_else(|e| e.into_inner()) = kind;
+/// The settings one experiment run is parameterised by, plus the
+/// [`Tally`] its simulations report into. Shared by reference with the
+/// run's worker threads.
+#[derive(Debug)]
+pub struct RunCtx {
+    /// Experiment fidelity (`--quick`).
+    pub scale: Scale,
+    /// Worker threads sweep experiments fan their cells out across
+    /// (`--jobs N`, default 1: serial).
+    pub jobs: usize,
+    /// Intra-cell shard count: how many worker threads a megafleet,
+    /// diurnal_sweep or obs_sweep cell partitions its node set across
+    /// ([`cluster::ClusterConfig::shards`], `--shards N`, default 1).
+    /// Orthogonal to `jobs`; results are byte-identical at every value
+    /// of either.
+    pub shards: usize,
+    /// Trace output directory (`--trace DIR`); `None` disables tracing.
+    pub trace_dir: Option<PathBuf>,
+    /// Runs every cluster experiment with the always-on
+    /// [`cluster::ObsConfig`] (`--obs`).
+    pub obs: bool,
+    /// The kernel scheduling policy workload- and cluster-level
+    /// experiments boot their kernels with (`--sched rr|priority|cfs`).
+    /// Calibration runs always stay round-robin so the shared
+    /// calibration cache is scheduler-independent.
+    pub sched: ossim::SchedulerKind,
+    tally: Mutex<Tally>,
 }
 
-/// The process-wide scheduling policy experiments boot kernels with.
-pub fn sched_kind() -> ossim::SchedulerKind {
-    SCHED
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clone()
-        .unwrap_or(ossim::SchedulerKind::RoundRobin)
+impl Clone for RunCtx {
+    fn clone(&self) -> RunCtx {
+        RunCtx {
+            scale: self.scale,
+            jobs: self.jobs,
+            shards: self.shards,
+            trace_dir: self.trace_dir.clone(),
+            obs: self.obs,
+            sched: self.sched.clone(),
+            tally: Mutex::new(self.tally()),
+        }
+    }
 }
 
-/// Parses `--sched NAME` / `--sched=NAME` from process args. Returns
-/// `None` (round-robin) when absent; exits with an error on an unknown
-/// policy name so a typo cannot silently run the default.
-pub fn sched_from_args() -> Option<ossim::SchedulerKind> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut kind = None;
-    let mut parse = |v: &str| match ossim::SchedulerKind::parse(v) {
-        Some(k) => kind = Some(k),
-        None => {
-            eprintln!(
-                "error: unknown --sched policy `{v}` (expected one of: {})",
-                ossim::SchedulerKind::ALL_NAMES.join(", ")
-            );
+impl RunCtx {
+    /// Default-flag settings at `scale`: serial, one shard, untraced,
+    /// no obs plane, round-robin kernels, and an empty tally.
+    pub fn new(scale: Scale) -> RunCtx {
+        RunCtx {
+            scale,
+            jobs: 1,
+            shards: 1,
+            trace_dir: None,
+            obs: false,
+            sched: ossim::SchedulerKind::RoundRobin,
+            tally: Mutex::new(Tally::default()),
+        }
+    }
+
+    /// Parses the experiment flags out of `args` (program name
+    /// excluded): `--quick`, `--obs`, and `--jobs N`, `--shards N`,
+    /// `--trace DIR`, `--sched NAME`, each also as `--flag=value`.
+    /// Counts of 0 clamp to 1. Arguments it does not know are left to
+    /// the caller (`run_all --only`). A missing or malformed value is an
+    /// error, never a silent default.
+    pub fn parse(args: &[String]) -> Result<RunCtx, String> {
+        let mut ctx = RunCtx::new(Scale::Full);
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            let (flag, inline) = match arg.split_once('=') {
+                Some((f, v)) => (f, Some(v)),
+                None => (arg.as_str(), None),
+            };
+            if !matches!(flag, "--jobs" | "--shards" | "--trace" | "--sched") {
+                match arg.as_str() {
+                    "--quick" => ctx.scale = Scale::Quick,
+                    "--obs" => ctx.obs = true,
+                    _ => {}
+                }
+                continue;
+            }
+            let value = match inline {
+                Some(v) => v,
+                None => it.next().map(String::as_str).unwrap_or(""),
+            };
+            if value.is_empty() || value.starts_with("--") {
+                return Err(format!("{flag} needs a value"));
+            }
+            let count = || match value.parse::<usize>() {
+                Ok(n) => Ok(n.max(1)),
+                Err(_) => Err(format!("{flag} expects a count, got `{value}`")),
+            };
+            match flag {
+                "--jobs" => ctx.jobs = count()?,
+                "--shards" => ctx.shards = count()?,
+                "--trace" => ctx.trace_dir = Some(PathBuf::from(value)),
+                _ => {
+                    ctx.sched = ossim::SchedulerKind::parse(value).ok_or_else(|| {
+                        format!(
+                            "unknown --sched policy `{value}` (expected one of: {})",
+                            ossim::SchedulerKind::ALL_NAMES.join(", ")
+                        )
+                    })?;
+                }
+            }
+        }
+        Ok(ctx)
+    }
+
+    /// [`RunCtx::parse`] over the process arguments; exits with status
+    /// 2 on a malformed flag so a typo cannot silently run the default.
+    pub fn from_args() -> RunCtx {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        RunCtx::parse(&args).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
             std::process::exit(2);
-        }
-    };
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--sched=") {
-            parse(v);
-        } else if a == "--sched" {
-            if let Some(v) = args.get(i + 1) {
-                parse(v);
-            }
+        })
+    }
+
+    /// Installs the kernel policy and, under `--obs`, the standard
+    /// always-on obs plane on a cluster cell's config. Cell builders
+    /// return default-flag configs; experiments apply their context on
+    /// top. Experiments that *are about* the obs plane (obs_sweep) keep
+    /// their own per-rung configs instead. The shard count is left to the
+    /// capacity experiments (megafleet, diurnal_sweep, obs_sweep): on
+    /// the small pipeline cells the per-tick shard barrier costs more
+    /// than it saves.
+    pub fn apply(&self, cfg: &mut cluster::ClusterConfig) {
+        cfg.sched = vec![self.sched.clone()];
+        cfg.obs = self.obs.then(cluster::ObsConfig::standard);
+    }
+
+    /// A recording telemetry handle when tracing, else a disabled one —
+    /// experiments clone this into their [`workloads::RunConfig`] (or
+    /// [`cluster::ClusterConfig`]) without caring whether tracing is on.
+    pub fn telemetry(&self) -> telemetry::Telemetry {
+        if self.trace_dir.is_some() {
+            telemetry::Telemetry::recording()
+        } else {
+            telemetry::Telemetry::disabled()
         }
     }
-    kind
-}
 
-/// Turns the process-wide observability plane on or off.
-pub fn set_obs(on: bool) {
-    OBS.store(on, Ordering::SeqCst);
-}
-
-/// Whether `--obs` is active for this process.
-pub fn obs() -> bool {
-    OBS.load(Ordering::SeqCst)
-}
-
-/// Parses `--obs` from process args.
-pub fn obs_from_args() -> bool {
-    std::env::args().any(|a| a == "--obs")
-}
-
-/// The observability config cluster experiments should install:
-/// standard always-on settings when `--obs` is active, else `None`.
-/// Experiments that *are about* the obs plane (obs_sweep) build their
-/// own per-rung configs instead.
-pub fn obs_config() -> Option<cluster::ObsConfig> {
-    obs().then(cluster::ObsConfig::standard)
-}
-
-/// Sets the process-wide trace output directory.
-pub fn set_trace_dir(dir: Option<PathBuf>) {
-    *TRACE_DIR.lock().unwrap_or_else(|e| e.into_inner()) = dir;
-}
-
-/// The trace output directory, if tracing is enabled.
-pub fn trace_dir() -> Option<PathBuf> {
-    TRACE_DIR.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// Parses `--trace DIR` / `--trace=DIR` from process args.
-pub fn trace_dir_from_args() -> Option<PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut dir = None;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--trace=") {
-            dir = Some(PathBuf::from(v));
-        } else if a == "--trace" {
-            if let Some(v) = args.get(i + 1) {
-                dir = Some(PathBuf::from(v));
-            }
-        }
+    /// Folds one finished run's statistics into this run's tally.
+    pub fn note<'a, O>(&self, outcome: &'a O)
+    where
+        Tally: From<&'a O>,
+    {
+        *self.tally.lock().unwrap_or_else(|e| e.into_inner()) += Tally::from(outcome);
     }
-    dir
-}
 
-/// A recording telemetry handle when `--trace` is active, else a
-/// disabled one — experiments clone this into their [`workloads::RunConfig`]
-/// (or [`cluster::ClusterConfig`]) without caring whether tracing is on.
-pub fn trace_handle() -> telemetry::Telemetry {
-    if trace_dir().is_some() {
-        telemetry::Telemetry::recording()
-    } else {
-        telemetry::Telemetry::disabled()
+    /// A snapshot of everything noted so far.
+    pub fn tally(&self) -> Tally {
+        self.tally.lock().unwrap_or_else(|e| e.into_inner()).clone()
+    }
+
+    /// Writes one traced cell under `<trace dir>/<experiment>/<stem>.jsonl`
+    /// plus the Perfetto-loadable `<stem>.trace.json`; a no-op when tracing
+    /// is disabled or the handle recorded nothing. Failures warn but never
+    /// sink the experiment.
+    pub fn write_trace(&self, experiment: &str, stem: &str, tele: &telemetry::Telemetry) {
+        if !tele.enabled() {
+            return;
+        }
+        // Span-hygiene hard check: a recorded cell with dangling span ends
+        // means some code path closed a span it never opened (or the track
+        // bookkeeping broke). That must fail the experiment loudly, naming
+        // the offender, not ship a silently malformed trace.
+        let unmatched = tele.unmatched_ends_by_track();
+        if !unmatched.is_empty() {
+            let detail: Vec<String> =
+                unmatched.iter().map(|(track, n)| format!("track {track}: {n}")).collect();
+            panic!(
+                "experiment `{experiment}` cell `{stem}`: unmatched span end(s) — {}",
+                detail.join(", ")
+            );
+        }
+        let Some(root) = &self.trace_dir else { return };
+        let dir = root.join(experiment);
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            eprintln!("warning: cannot create {}: {e}", dir.display());
+            return;
+        }
+        let write = |path: &Path, res: std::io::Result<()>| {
+            if let Err(e) = res {
+                eprintln!("warning: cannot write {}: {e}", path.display());
+            }
+        };
+        let jsonl = dir.join(format!("{stem}.jsonl"));
+        write(&jsonl, tele.write_jsonl(&jsonl));
+        let chrome = dir.join(format!("{stem}.trace.json"));
+        write(&chrome, tele.write_chrome_trace(&chrome));
+    }
+
+    /// Runs `tasks` on up to [`RunCtx::jobs`] workers (see
+    /// [`run_parallel`]) and returns their outputs in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "`what` failed" if any task panicked.
+    pub fn run_cells<T, F>(&self, what: &str, tasks: Vec<F>) -> Vec<T>
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+    {
+        run_parallel(self.jobs, tasks)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap_or_else(|e| panic!("{what} failed: {e}"))
     }
 }
 
@@ -162,97 +252,6 @@ pub fn slug(s: &str) -> String {
     out.trim_matches('-').to_string()
 }
 
-/// Writes one traced cell under `<trace dir>/<experiment>/<stem>.jsonl`
-/// plus the Perfetto-loadable `<stem>.trace.json`; a no-op when tracing
-/// is disabled or the handle recorded nothing. Failures warn but never
-/// sink the experiment.
-pub fn write_trace(experiment: &str, stem: &str, tele: &telemetry::Telemetry) {
-    if !tele.enabled() {
-        return;
-    }
-    // Span-hygiene hard check: a recorded cell with dangling span ends
-    // means some code path closed a span it never opened (or the track
-    // bookkeeping broke). That must fail the experiment loudly, naming
-    // the offender, not ship a silently malformed trace.
-    let unmatched = tele.unmatched_ends_by_track();
-    if !unmatched.is_empty() {
-        let detail: Vec<String> =
-            unmatched.iter().map(|(track, n)| format!("track {track}: {n}")).collect();
-        panic!(
-            "experiment `{experiment}` cell `{stem}`: unmatched span end(s) — {}",
-            detail.join(", ")
-        );
-    }
-    let Some(root) = trace_dir() else { return };
-    let dir = root.join(experiment);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
-    }
-    let write = |path: &Path, res: std::io::Result<()>| {
-        if let Err(e) = res {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        }
-    };
-    let jsonl = dir.join(format!("{stem}.jsonl"));
-    write(&jsonl, tele.write_jsonl(&jsonl));
-    let chrome = dir.join(format!("{stem}.trace.json"));
-    write(&chrome, tele.write_chrome_trace(&chrome));
-}
-
-/// Sets the process-wide worker count (clamped to at least 1).
-pub fn set_jobs(n: usize) {
-    JOBS.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The process-wide worker count (default 1: serial).
-pub fn jobs() -> usize {
-    JOBS.load(Ordering::SeqCst)
-}
-
-/// Parses `--jobs N` / `--jobs=N` from process args (default 1).
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut jobs = 1usize;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = v.parse().unwrap_or(1);
-        } else if a == "--jobs" {
-            if let Some(v) = args.get(i + 1) {
-                jobs = v.parse().unwrap_or(1);
-            }
-        }
-    }
-    jobs.max(1)
-}
-
-/// Sets the process-wide intra-cell shard count (clamped to at least 1).
-pub fn set_shards(n: usize) {
-    SHARDS.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The process-wide intra-cell shard count (default 1: each cell
-/// advances its nodes inline).
-pub fn shards() -> usize {
-    SHARDS.load(Ordering::SeqCst)
-}
-
-/// Parses `--shards N` / `--shards=N` from process args (default 1).
-pub fn shards_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut shards = 1usize;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--shards=") {
-            shards = v.parse().unwrap_or(1);
-        } else if a == "--shards" {
-            if let Some(v) = args.get(i + 1) {
-                shards = v.parse().unwrap_or(1);
-            }
-        }
-    }
-    shards.max(1)
-}
-
 /// Runs `tasks` on up to `jobs` scoped worker threads and returns each
 /// task's output **in input order**. A panicking task yields
 /// `Err(panic message)` in its slot; the other tasks keep running. With
@@ -268,12 +267,7 @@ where
     let results: Vec<Mutex<Option<Result<T, String>>>> =
         (0..n).map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
-    // Worker threads inherit the caller's degrade-ledger scope, so a
-    // sweep experiment's cells report under the experiment's name no
-    // matter which thread runs them.
-    let scope = workloads::current_degrade_scope();
     let work = || {
-        let _guard = scope.as_deref().map(workloads::DegradeScope::enter);
         loop {
             let i = next.fetch_add(1, Ordering::SeqCst);
             if i >= n {
@@ -361,6 +355,54 @@ mod tests {
         assert_eq!(slug("peak load"), "peak-load");
         assert_eq!(slug("dropout + glitches + tag faults"), "dropout-glitches-tag-faults");
         assert_eq!(slug("5%"), "5");
+    }
+
+    fn parse(args: &[&str]) -> Result<RunCtx, String> {
+        RunCtx::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_defaults_and_every_flag() {
+        let ctx = parse(&[]).unwrap();
+        assert_eq!((ctx.scale, ctx.jobs, ctx.shards, ctx.obs), (Scale::Full, 1, 1, false));
+        assert_eq!((ctx.trace_dir, ctx.sched), (None, ossim::SchedulerKind::RoundRobin));
+        let ctx = parse(&[
+            "--quick", "--jobs", "4", "--shards=2", "--trace", "out", "--obs", "--sched=cfs",
+            "--only", "fig05",
+        ])
+        .unwrap();
+        assert_eq!((ctx.scale, ctx.jobs, ctx.shards, ctx.obs), (Scale::Quick, 4, 2, true));
+        assert_eq!(ctx.trace_dir, Some(PathBuf::from("out")));
+        assert_eq!(ctx.sched.name(), "cfs");
+        assert_eq!(parse(&["--jobs=4"]).unwrap().jobs, 4);
+        assert_eq!(parse(&["--trace=t"]).unwrap().trace_dir, Some(PathBuf::from("t")));
+        // Counts of zero clamp to one.
+        assert_eq!(parse(&["--jobs", "0"]).unwrap().jobs, 1);
+        assert_eq!(parse(&["--shards=0"]).unwrap().shards, 1);
+    }
+
+    #[test]
+    fn parse_rejects_missing_and_malformed_values() {
+        for args in [
+            &["--jobs", "x"][..],
+            &["--jobs=x"],
+            &["--jobs", "-1"],
+            &["--shards", "x"],
+            &["--shards=2.5"],
+            &["--jobs"],
+            &["--shards"],
+            &["--trace"],
+            &["--sched"],
+            &["--jobs="],
+            &["--trace="],
+            &["--trace", "--obs"],
+            &["--jobs", "--quick"],
+            &["--sched", "fifo"],
+            &["--quick", "--jobs", "2", "--trace"],
+        ] {
+            assert!(parse(args).is_err(), "{args:?} must be rejected");
+        }
+        assert!(parse(&["--sched", "fifo"]).unwrap_err().contains("rr, priority, cfs"));
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //! actually holds.
 //!
 //! Cells are independent seeded simulations and fan out across
-//! [`crate::runner::jobs`] workers; the record is free of wall-clock
+//! [`RunCtx::jobs`] workers; the record is free of wall-clock
 //! values, so results are byte-identical at any `--jobs` count.
 
 use crate::output::{banner, write_record, Table};
-use crate::{Lab, Scale};
+use crate::runner::slug;
+use crate::{Lab, RunCtx, Scale};
 use cluster::{
     energy_affinity, offered_cluster_rate, run_pipeline, ClusterConfig, DistributionPolicy,
     MachineHeterogeneityAware, SimpleBalance, Topology, WorkloadHeterogeneityAware,
@@ -113,10 +114,10 @@ pub(crate) fn make_policies(
 }
 
 /// Builds one cell's cluster config (shared with the test suites, so the
-/// CI smoke cell is exactly a sweep cell).
+/// CI smoke cell is exactly a sweep cell) under default flags;
+/// [`run`] applies the context's flags on top.
 pub fn cell_config(scale: Scale, nodes: usize, cap_w: Option<f64>) -> ClusterConfig {
     let mut cfg = ClusterConfig::sharded(&Topology::serving_pipeline(nodes));
-    cfg.sched = vec![crate::runner::sched_kind()];
     cfg.seed = crate::SEED;
     cfg.power_cap_w = cap_w;
     // Size the run so the open-loop generator offers the target request
@@ -125,7 +126,6 @@ pub fn cell_config(scale: Scale, nodes: usize, cap_w: Option<f64>) -> ClusterCon
     let rate = offered_cluster_rate(&cfg);
     let secs = (target_requests(scale) / rate).max(0.25);
     cfg.duration = SimDuration::from_millis((secs * 1e3).ceil() as u64);
-    cfg.obs = crate::runner::obs_config();
     cfg
 }
 
@@ -136,26 +136,28 @@ pub fn cell_calibrations(lab: &mut Lab, cfg: &ClusterConfig) -> Vec<MachineCalib
 }
 
 fn run_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     nodes: usize,
     kind: &str,
     cap_w: Option<f64>,
     ratios: &[(WorkloadKind, f64)],
     cals: &[MachineCalibration],
 ) -> ScaleSweepRow {
-    let mut cfg = cell_config(scale, nodes, cap_w);
-    cfg.telemetry = crate::runner::trace_handle();
+    let mut cfg = cell_config(ctx.scale, nodes, cap_w);
+    ctx.apply(&mut cfg);
+    cfg.telemetry = ctx.telemetry();
     let mut policies = make_policies(kind, cfg.tiers.len(), ratios);
     let outcome = run_pipeline(&mut policies, &cfg, cals);
+    ctx.note(&outcome);
     let stem = format!(
         "{nodes:02}nodes-{}-{}",
-        crate::runner::slug(kind),
+        slug(kind),
         match cap_w {
             Some(w) => format!("cap{w:.0}w"),
             None => "uncapped".to_string(),
         }
     );
-    crate::runner::write_trace("scale_sweep", &stem, &cfg.telemetry);
+    ctx.write_trace("scale_sweep", &stem, &cfg.telemetry);
     let total_w = outcome.total_energy_rate_w();
     let resp: Vec<f64> = outcome
         .response_by_app
@@ -183,7 +185,7 @@ fn run_cell(
 /// Profiles the two apps' cross-machine energy affinity for the
 /// workload-aware policy (Fig. 13's procedure, short runs — shared by
 /// every cell).
-pub(crate) fn profiled_ratios(lab: &mut Lab, scale: Scale) -> Vec<(WorkloadKind, f64)> {
+pub(crate) fn profiled_ratios(ctx: &RunCtx, lab: &mut Lab) -> Vec<(WorkloadKind, f64)> {
     let sb = lab.spec("sandybridge");
     let wc = lab.spec("woodcrest");
     let sb_cal = lab.calibration("sandybridge");
@@ -194,7 +196,8 @@ pub(crate) fn profiled_ratios(lab: &mut Lab, scale: Scale) -> Vec<(WorkloadKind,
         (&sb, &sb_cal),
         (&wc, &wc_cal),
         crate::SEED + 5,
-        SimDuration::from_secs(scale.run_secs() / 2 + 2),
+        SimDuration::from_secs(ctx.scale.run_secs() / 2 + 2),
+        |o| ctx.note(o),
     )
     .iter()
     .map(|r| (r.kind, r.ratio()))
@@ -202,11 +205,11 @@ pub(crate) fn profiled_ratios(lab: &mut Lab, scale: Scale) -> Vec<(WorkloadKind,
 }
 
 /// Runs the sweep and prints the grid.
-pub fn run(scale: Scale) -> ScaleSweep {
+pub fn run(ctx: &RunCtx) -> ScaleSweep {
     banner("scale-sweep", "sharded serving pipeline across fleet sizes and caps");
     let mut lab = Lab::new();
-    let ratios = profiled_ratios(&mut lab, scale);
-    let sizes = fleet_sizes(scale);
+    let ratios = profiled_ratios(ctx, &mut lab);
+    let sizes = fleet_sizes(ctx.scale);
     let largest = *sizes.last().expect("nonempty size list");
 
     // Canonical cell order: nodes, then policy, then cap. Capped cells
@@ -227,14 +230,11 @@ pub fn run(scale: Scale) -> ScaleSweep {
         .into_iter()
         .map(|(n, kind, cap)| {
             let ratios = ratios.clone();
-            let cals = cell_calibrations(&mut lab, &cell_config(scale, n, cap));
-            move || run_cell(scale, n, kind, cap, &ratios, &cals)
+            let cals = cell_calibrations(&mut lab, &cell_config(ctx.scale, n, cap));
+            move || run_cell(ctx, n, kind, cap, &ratios, &cals)
         })
         .collect();
-    let rows: Vec<ScaleSweepRow> = crate::runner::run_parallel(crate::runner::jobs(), tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("scale-sweep cell failed: {e}"));
+    let rows: Vec<ScaleSweepRow> = ctx.run_cells("scale-sweep cell", tasks);
 
     let mut table = Table::new([
         "nodes", "policy", "cap (W)", "total (W)", "completed", "dropped", "resp (ms)",

@@ -21,13 +21,14 @@
 //!    survives swapping every node's scheduler.
 //!
 //! Cells are independent seeded simulations fanned out across
-//! [`crate::runner::jobs`] workers; no wall-clock value enters the
+//! [`RunCtx::jobs`] workers; no wall-clock value enters the
 //! record, so `results/sched_sweep.json` is byte-identical at any
-//! `--jobs`/`--shards` count. The sweep deliberately ignores the global
+//! `--jobs`/`--shards` count. The sweep deliberately ignores the
 //! `--sched` flag: it sweeps all schedulers itself.
 
 use crate::output::{banner, pct, write_record, Table};
-use crate::{Lab, Scale};
+use crate::runner::slug;
+use crate::{Lab, RunCtx, Scale};
 use cluster::run_pipeline;
 use ossim::SchedulerKind;
 use power_containers::{Approach, ConditioningPolicy};
@@ -149,6 +150,7 @@ fn machines(scale: Scale) -> &'static [&'static str] {
 /// smoke cell is exactly a sweep cell). `bound`/`within_bound` are left
 /// zeroed — grading needs the RR baseline and happens at assembly.
 pub fn attribution_cell(
+    ctx: &RunCtx,
     kind: SchedulerKind,
     machine: &str,
     spec: hwsim::MachineSpec,
@@ -161,15 +163,11 @@ pub fn attribution_cell(
     cfg.approach = Approach::Recalibrated;
     cfg.load = LoadLevel::Peak;
     cfg.duration = SimDuration::from_secs(secs);
-    cfg.telemetry = crate::runner::trace_handle();
+    cfg.telemetry = ctx.telemetry();
     let outcome = run_app(workload, &cfg, &cal);
-    let stem = format!(
-        "{}-{}-{}",
-        kind.name(),
-        crate::runner::slug(machine),
-        crate::runner::slug(workload.name())
-    );
-    crate::runner::write_trace("sched_sweep", &stem, &cfg.telemetry);
+    ctx.note(&outcome);
+    let stem = format!("{}-{}-{}", kind.name(), slug(machine), slug(workload.name()));
+    ctx.write_trace("sched_sweep", &stem, &cfg.telemetry);
     let sched = outcome.kernel.sched_stats();
     AttributionRow {
         sched: kind.name().to_string(),
@@ -188,6 +186,7 @@ pub fn attribution_cell(
 }
 
 fn conditioning_cell(
+    ctx: &RunCtx,
     kind: SchedulerKind,
     spec: hwsim::MachineSpec,
     cal: workloads::MachineCalibration,
@@ -201,6 +200,7 @@ fn conditioning_cell(
     cfg.duration = SimDuration::from_secs(secs);
     cfg.conditioning = Some(ConditioningPolicy::new(target_w));
     let outcome = run_app(WorkloadKind::RsaCrypto, &cfg, &cal);
+    ctx.note(&outcome);
     let measured_w = outcome.measured_active_power_w();
     let error = outcome.validation_error();
     ConditioningRow {
@@ -214,18 +214,20 @@ fn conditioning_cell(
 }
 
 fn ordering_cell(
-    scale: Scale,
+    ctx: &RunCtx,
     kind: SchedulerKind,
     policy: &str,
     ratios: &[(WorkloadKind, f64)],
     cals: &[workloads::MachineCalibration],
 ) -> OrderingRow {
-    let mut cfg = crate::scale_sweep::cell_config(scale, 4, None);
+    let mut cfg = crate::scale_sweep::cell_config(ctx.scale, 4, None);
+    ctx.apply(&mut cfg);
     // The sweep picks each node's scheduler itself, overriding the
-    // global `--sched` choice `cell_config` threaded in.
+    // context's `--sched` choice.
     cfg.sched = vec![kind.clone()];
     let mut policies = crate::scale_sweep::make_policies(policy, cfg.tiers.len(), ratios);
     let outcome = run_pipeline(&mut policies, &cfg, cals);
+    ctx.note(&outcome);
     OrderingRow {
         sched: kind.name().to_string(),
         policy: policy.to_string(),
@@ -235,10 +237,11 @@ fn ordering_cell(
 }
 
 /// Runs the sweep and prints the three grids.
-pub fn run(scale: Scale) -> SchedSweep {
+pub fn run(ctx: &RunCtx) -> SchedSweep {
     banner("sched-sweep", "attribution conformance across pluggable schedulers");
     let mut lab = Lab::new();
     let kinds = swept_kinds();
+    let scale = ctx.scale;
     let secs = scale.run_secs();
 
     // Conditioning target: 80% of an uncapped RR probe's draw, so the
@@ -248,10 +251,12 @@ pub fn run(scale: Scale) -> SchedSweep {
         cfg.approach = Approach::Recalibrated;
         cfg.load = LoadLevel::Peak;
         cfg.duration = SimDuration::from_secs(secs);
-        run_app(WorkloadKind::RsaCrypto, &cfg, &lab.calibration("sandybridge"))
+        let o = run_app(WorkloadKind::RsaCrypto, &cfg, &lab.calibration("sandybridge"));
+        ctx.note(&o);
+        o
     };
     let target_w = probe.measured_active_power_w() * 0.8;
-    let ratios = crate::scale_sweep::profiled_ratios(&mut lab, scale);
+    let ratios = crate::scale_sweep::profiled_ratios(ctx, &mut lab);
     let fleet_cals =
         crate::scale_sweep::cell_calibrations(&mut lab, &crate::scale_sweep::cell_config(scale, 4, None));
 
@@ -270,42 +275,33 @@ pub fn run(scale: Scale) -> SchedSweep {
             for workload in WorkloadKind::ALL {
                 let (kind, spec, cal) = (kind.clone(), spec.clone(), cal.clone());
                 attr_tasks.push(move || {
-                    attribution_cell(kind, machine, spec, cal, workload, cell_secs)
+                    attribution_cell(ctx, kind, machine, spec, cal, workload, cell_secs)
                 });
             }
         }
     }
     let mut attribution: Vec<AttributionRow> =
-        crate::runner::run_parallel(crate::runner::jobs(), attr_tasks)
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .unwrap_or_else(|e| panic!("sched-sweep attribution cell failed: {e}"));
+        ctx.run_cells("sched-sweep attribution cell", attr_tasks);
 
     let cond_tasks: Vec<_> = kinds
         .iter()
         .map(|kind| {
             let (kind, spec, cal) =
                 (kind.clone(), lab.spec("sandybridge"), lab.calibration("sandybridge"));
-            move || conditioning_cell(kind, spec, cal, target_w, secs)
+            move || conditioning_cell(ctx, kind, spec, cal, target_w, secs)
         })
         .collect();
     let conditioning: Vec<ConditioningRow> =
-        crate::runner::run_parallel(crate::runner::jobs(), cond_tasks)
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .unwrap_or_else(|e| panic!("sched-sweep conditioning cell failed: {e}"));
+        ctx.run_cells("sched-sweep conditioning cell", cond_tasks);
 
     let mut ord_tasks = Vec::new();
     for kind in &kinds {
         for &policy in crate::scale_sweep::POLICY_KINDS {
             let (kind, ratios, cals) = (kind.clone(), ratios.clone(), fleet_cals.clone());
-            ord_tasks.push(move || ordering_cell(scale, kind, policy, &ratios, &cals));
+            ord_tasks.push(move || ordering_cell(ctx, kind, policy, &ratios, &cals));
         }
     }
-    let ordering: Vec<OrderingRow> = crate::runner::run_parallel(crate::runner::jobs(), ord_tasks)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("sched-sweep ordering cell failed: {e}"));
+    let ordering: Vec<OrderingRow> = ctx.run_cells("sched-sweep ordering cell", ord_tasks);
 
     // Grade attribution cells against the RR baseline of the same
     // (machine, workload) cell.

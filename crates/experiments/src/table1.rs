@@ -8,7 +8,7 @@
 
 use crate::fig14::cluster_outcomes;
 use crate::output::{banner, write_record, Table};
-use crate::Scale;
+use crate::RunCtx;
 use serde::Serialize;
 
 /// One policy's response times.
@@ -28,9 +28,9 @@ pub struct Table1 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Table1 {
+pub fn run(ctx: &RunCtx) -> Table1 {
     banner("table1", "average request response time per distribution policy");
-    let outcomes = cluster_outcomes(scale);
+    let outcomes = cluster_outcomes(ctx);
     let mut rows = Vec::new();
     let app_names: Vec<String> = outcomes[0]
         .response_by_app

@@ -9,8 +9,10 @@
 //! PC_BLESS=1 cargo test --release -p experiments --test chaos_sweep_checks
 //! ```
 
-use experiments::{chaos_sweep, Lab, Scale};
-use std::path::{Path, PathBuf};
+mod common;
+
+use experiments::{chaos_sweep, Lab, RunCtx, Scale};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// The CI smoke: the heaviest rungs of the ladder (high crash rate, and
@@ -39,8 +41,9 @@ fn chaos_smoke_within_wall_budget() {
         &chaos_sweep::cell_config(Scale::Quick, crash_high),
     );
     let t0 = Instant::now();
-    let high = chaos_sweep::run_cell(Scale::Quick, crash_high, &cals);
-    let full = chaos_sweep::run_cell(Scale::Quick, chaos_full, &cals);
+    let quick = RunCtx::new(Scale::Quick);
+    let high = chaos_sweep::run_cell(&quick, crash_high, &cals);
+    let full = chaos_sweep::run_cell(&quick, chaos_full, &cals);
     let elapsed = t0.elapsed();
     for r in [&high, &full] {
         assert!(r.crashes > 0, "{}: the crash clock must fire", r.scenario);
@@ -58,52 +61,18 @@ fn chaos_smoke_within_wall_budget() {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci").join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("PC_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "{name} drifted; if deliberate, regenerate with PC_BLESS=1 cargo test \
-         --release -p experiments --test chaos_sweep_checks"
-    );
-}
-
 /// Runs the full quick ladder with tracing into a sandbox (pre-seeded
 /// with the committed calibration caches) at the given job count and
 /// returns (sandbox dir, record JSON).
 fn traced_quick_ladder(jobs: usize) -> (PathBuf, String) {
-    let tmp = std::env::temp_dir().join(format!("pc-chaos-golden-{}-{jobs}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let results = tmp.join("results");
-    std::fs::create_dir_all(&results).expect("create sandbox");
-    let repo_results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for entry in std::fs::read_dir(repo_results).expect("repo results dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().to_string();
-        if name.starts_with("calibration-") && name.ends_with(".json") {
-            std::fs::copy(entry.path(), results.join(&name)).expect("copy calibration cache");
-        }
-    }
-    std::env::set_var("PC_RESULTS_DIR", &results);
-    experiments::runner::set_jobs(jobs);
-    experiments::runner::set_trace_dir(Some(tmp.join("traces")));
-    let record = chaos_sweep::run(Scale::Quick);
-    experiments::runner::set_trace_dir(None);
+    let (tmp, mut ctx) = common::traced_sandbox(&format!("chaos-golden-{jobs}"));
+    ctx.jobs = jobs;
+    let record = chaos_sweep::run(&ctx);
     assert!(record.requests_conserved, "request conservation must be exact");
     assert!(record.energy_conserved, "energy must balance modulo loss windows");
     assert!(record.caps_held, "capped cells must hold their cap");
     assert!(record.faults_fired, "every rung must exercise its fault mix");
-    let json = std::fs::read_to_string(results.join("chaos_sweep.json")).expect("record file");
+    let json = std::fs::read_to_string(tmp.join("results/chaos_sweep.json")).expect("record file");
     (tmp, json)
 }
 
@@ -132,11 +101,11 @@ fn chaos_traces_match_goldens_at_any_job_count() {
         assert_eq!(body, other, "{n} must be byte-identical at any --jobs");
         merged.push_str(&body);
     }
-    check_golden("trace_schema_chaos.golden", &telemetry::summary::schema(&merged));
+    common::check_golden("trace_schema_chaos.golden", &telemetry::summary::schema(&merged));
     let full = std::fs::read_to_string(dir.join("chaos-full.jsonl")).expect("chaos-full trace");
     let s = telemetry::summary::summarize(&full);
     assert_eq!(s.unparsed_lines, 0, "trace must be well-formed");
-    check_golden("trace_summarize_chaos.golden", &telemetry::summary::render_summary(&s));
+    common::check_golden("trace_summarize_chaos.golden", &telemetry::summary::render_summary(&s));
     let _ = std::fs::remove_dir_all(&tmp1);
     let _ = std::fs::remove_dir_all(&tmp4);
 }

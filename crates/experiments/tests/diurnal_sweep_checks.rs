@@ -9,8 +9,10 @@
 //! PC_BLESS=1 cargo test --release -p experiments --test diurnal_sweep_checks
 //! ```
 
-use experiments::{diurnal_sweep, Lab, Scale};
-use std::path::{Path, PathBuf};
+mod common;
+
+use experiments::{diurnal_sweep, Lab, RunCtx, Scale};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// The CI smoke: the diurnal rung head-to-head (the experiment's
@@ -37,9 +39,10 @@ fn diurnal_smoke_within_wall_budget() {
         &diurnal_sweep::cell_config(Scale::Quick, diurnal, false),
     );
     let t0 = Instant::now();
-    let fixed = diurnal_sweep::run_cell(Scale::Quick, diurnal, false, &cals);
-    let auto = diurnal_sweep::run_cell(Scale::Quick, diurnal, true, &cals);
-    let browned = diurnal_sweep::run_cell(Scale::Quick, flash, true, &cals);
+    let quick = RunCtx::new(Scale::Quick);
+    let fixed = diurnal_sweep::run_cell(&quick, diurnal, false, &cals);
+    let auto = diurnal_sweep::run_cell(&quick, diurnal, true, &cals);
+    let browned = diurnal_sweep::run_cell(&quick, flash, true, &cals);
     let elapsed = t0.elapsed();
     assert_eq!(fixed.dispatched, auto.dispatched, "both arms must face identical traffic");
     assert!(auto.scale_outs > 0 && auto.scale_ins > 0, "a diurnal day must resize the fleet");
@@ -64,55 +67,20 @@ fn diurnal_smoke_within_wall_budget() {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci").join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("PC_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "{name} drifted; if deliberate, regenerate with PC_BLESS=1 cargo test \
-         --release -p experiments --test diurnal_sweep_checks"
-    );
-}
-
 /// Runs the full quick ladder with tracing into a sandbox (pre-seeded
 /// with the committed calibration caches) at the given job count and
 /// returns (sandbox dir, record JSON).
 fn traced_quick_ladder(jobs: usize) -> (PathBuf, String) {
-    let tmp =
-        std::env::temp_dir().join(format!("pc-diurnal-golden-{}-{jobs}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let results = tmp.join("results");
-    std::fs::create_dir_all(&results).expect("create sandbox");
-    let repo_results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for entry in std::fs::read_dir(repo_results).expect("repo results dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().to_string();
-        if name.starts_with("calibration-") && name.ends_with(".json") {
-            std::fs::copy(entry.path(), results.join(&name)).expect("copy calibration cache");
-        }
-    }
-    std::env::set_var("PC_RESULTS_DIR", &results);
-    experiments::runner::set_jobs(jobs);
-    experiments::runner::set_trace_dir(Some(tmp.join("traces")));
-    let record = diurnal_sweep::run(Scale::Quick);
-    experiments::runner::set_trace_dir(None);
+    let (tmp, mut ctx) = common::traced_sandbox(&format!("diurnal-golden-{jobs}"));
+    ctx.jobs = jobs;
+    let record = diurnal_sweep::run(&ctx);
     assert!(record.requests_conserved, "request conservation must be exact");
     assert!(record.energy_conserved, "energy must balance modulo loss windows");
     assert!(record.caps_held, "capped cells must hold their cap");
     assert!(record.brownouts_fired, "capped rungs must engage the brownout ladder");
     assert!(record.upgrades_completed, "the upgrade rung must finish its swaps");
     assert!(record.diurnal_win >= diurnal_sweep::DIURNAL_WIN_FLOOR);
-    let json = std::fs::read_to_string(results.join("diurnal_sweep.json")).expect("record file");
+    let json = std::fs::read_to_string(tmp.join("results/diurnal_sweep.json")).expect("record file");
     (tmp, json)
 }
 
@@ -146,12 +114,12 @@ fn diurnal_traces_match_goldens_at_any_job_count() {
         assert_eq!(body, other, "{n} must be byte-identical at any --jobs");
         merged.push_str(&body);
     }
-    check_golden("trace_schema_diurnal.golden", &telemetry::summary::schema(&merged));
+    common::check_golden("trace_schema_diurnal.golden", &telemetry::summary::schema(&merged));
     let flash = std::fs::read_to_string(dir.join("diurnal-flash-autoscaled.jsonl"))
         .expect("diurnal-flash-autoscaled trace");
     let s = telemetry::summary::summarize(&flash);
     assert_eq!(s.unparsed_lines, 0, "trace must be well-formed");
-    check_golden("trace_summarize_diurnal.golden", &telemetry::summary::render_summary(&s));
+    common::check_golden("trace_summarize_diurnal.golden", &telemetry::summary::render_summary(&s));
     let _ = std::fs::remove_dir_all(&tmp1);
     let _ = std::fs::remove_dir_all(&tmp4);
 }

@@ -9,8 +9,10 @@
 //! PC_BLESS=1 cargo test --release -p experiments --test drift_sweep_checks
 //! ```
 
-use experiments::{drift_sweep, Lab, Scale};
-use std::path::{Path, PathBuf};
+mod common;
+
+use experiments::{drift_sweep, Lab, RunCtx, Scale};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// The CI smoke: the heaviest rung (DVFS square + rolling generation
@@ -33,8 +35,9 @@ fn drift_smoke_within_wall_budget() {
     // the simulations themselves.
     let cal = lab.calibration("sandybridge");
     let t0 = Instant::now();
-    let mut single = drift_sweep::run_cell(Scale::Quick, chaos, false, &cal);
-    let mut bank = drift_sweep::run_cell(Scale::Quick, chaos, true, &cal);
+    let quick = RunCtx::new(Scale::Quick);
+    let mut single = drift_sweep::run_cell(&quick, chaos, false, &cal);
+    let mut bank = drift_sweep::run_cell(&quick, chaos, true, &cal);
     let elapsed = t0.elapsed();
     // Mirror of the sweep's rung analysis: one shared bound from the
     // pooled pre-shift steady error.
@@ -68,51 +71,17 @@ fn drift_smoke_within_wall_budget() {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci").join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("PC_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "{name} drifted; if deliberate, regenerate with PC_BLESS=1 cargo test \
-         --release -p experiments --test drift_sweep_checks"
-    );
-}
-
 /// Runs the full quick ladder with tracing into a sandbox (pre-seeded
 /// with the committed calibration caches) at the given job count and
 /// returns (sandbox dir, record JSON).
 fn traced_quick_ladder(jobs: usize) -> (PathBuf, String) {
-    let tmp = std::env::temp_dir().join(format!("pc-drift-golden-{}-{jobs}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let results = tmp.join("results");
-    std::fs::create_dir_all(&results).expect("create sandbox");
-    let repo_results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for entry in std::fs::read_dir(repo_results).expect("repo results dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().to_string();
-        if name.starts_with("calibration-") && name.ends_with(".json") {
-            std::fs::copy(entry.path(), results.join(&name)).expect("copy calibration cache");
-        }
-    }
-    std::env::set_var("PC_RESULTS_DIR", &results);
-    experiments::runner::set_jobs(jobs);
-    experiments::runner::set_trace_dir(Some(tmp.join("traces")));
-    let record = drift_sweep::run(Scale::Quick);
-    experiments::runner::set_trace_dir(None);
+    let (tmp, mut ctx) = common::traced_sandbox(&format!("drift-golden-{jobs}"));
+    ctx.jobs = jobs;
+    let record = drift_sweep::run(&ctx);
     assert!(record.bank_recovered_all, "bank recovery must hold on the quick ladder");
     assert!(record.single_stayed_diverged, "baseline divergence must hold");
     assert!(record.bank_steady_ok, "the bank must cost nothing at steady state");
-    let json = std::fs::read_to_string(results.join("drift_sweep.json")).expect("record file");
+    let json = std::fs::read_to_string(tmp.join("results/drift_sweep.json")).expect("record file");
     (tmp, json)
 }
 
@@ -145,12 +114,12 @@ fn drift_traces_match_goldens_at_any_job_count() {
         assert_eq!(body, other, "{n} must be byte-identical at any --jobs");
         merged.push_str(&body);
     }
-    check_golden("trace_schema_drift.golden", &telemetry::summary::schema(&merged));
+    common::check_golden("trace_schema_drift.golden", &telemetry::summary::schema(&merged));
     let full = std::fs::read_to_string(dir.join("chaos-combined-bank.jsonl"))
         .expect("chaos-combined-bank trace");
     let s = telemetry::summary::summarize(&full);
     assert_eq!(s.unparsed_lines, 0, "trace must be well-formed");
-    check_golden("trace_summarize_drift.golden", &telemetry::summary::render_summary(&s));
+    common::check_golden("trace_summarize_drift.golden", &telemetry::summary::render_summary(&s));
     let _ = std::fs::remove_dir_all(&tmp1);
     let _ = std::fs::remove_dir_all(&tmp4);
 }

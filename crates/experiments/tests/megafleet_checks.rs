@@ -10,8 +10,10 @@
 //! PC_BLESS=1 cargo test --release -p experiments --test megafleet_checks
 //! ```
 
+mod common;
+
 use cluster::{run_cluster, SimpleBalance};
-use experiments::{megafleet, Lab, Scale};
+use experiments::{megafleet, Lab};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -45,49 +47,13 @@ fn smoke_cell_100_nodes_within_wall_budget() {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci").join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("PC_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "{name} drifted; if deliberate, regenerate with PC_BLESS=1 cargo test \
-         --release -p experiments --test megafleet_checks"
-    );
-}
-
 /// Runs the quick megafleet sweep with tracing into a sandbox
 /// (pre-seeded with the committed calibration caches) at the given
 /// shard count; returns the sandbox root.
 fn traced_quick_sweep(shards: usize) -> PathBuf {
-    let tmp = std::env::temp_dir()
-        .join(format!("pc-megafleet-golden-{shards}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let results = tmp.join("results");
-    std::fs::create_dir_all(&results).expect("create sandbox");
-    let repo_results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for entry in std::fs::read_dir(repo_results).expect("repo results dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().to_string();
-        if name.starts_with("calibration-") && name.ends_with(".json") {
-            std::fs::copy(entry.path(), results.join(&name)).expect("copy calibration cache");
-        }
-    }
-    std::env::set_var("PC_RESULTS_DIR", &results);
-    experiments::runner::set_shards(shards);
-    experiments::runner::set_trace_dir(Some(tmp.join("traces")));
-    let record = megafleet::run(Scale::Quick);
-    experiments::runner::set_trace_dir(None);
-    experiments::runner::set_shards(1);
+    let (tmp, mut ctx) = common::traced_sandbox(&format!("megafleet-golden-{shards}"));
+    ctx.shards = shards;
+    let record = megafleet::run(&ctx);
     assert!(record.conserved, "megafleet cells must conserve");
     assert!(record.largest_dispatched >= 100_000);
     tmp
@@ -130,12 +96,12 @@ fn megafleet_record_and_traces_shard_invariant_and_match_goldens() {
         assert_eq!(a, b, "trace {n} differs between --shards 1 and --shards 4");
         merged.push_str(&a);
     }
-    check_golden("trace_schema_megafleet.golden", &telemetry::summary::schema(&merged));
+    common::check_golden("trace_schema_megafleet.golden", &telemetry::summary::schema(&merged));
     let smallest =
         std::fs::read_to_string(trace_dir(&serial).join(&names[0])).expect("smallest cell trace");
     let s = telemetry::summary::summarize(&smallest);
     assert_eq!(s.unparsed_lines, 0, "trace must be well-formed");
-    check_golden(
+    common::check_golden(
         "trace_summarize_megafleet.golden",
         &telemetry::summary::render_summary(&s),
     );

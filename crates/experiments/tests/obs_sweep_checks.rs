@@ -10,8 +10,10 @@
 //! PC_BLESS=1 cargo test --release -p experiments --test obs_sweep_checks
 //! ```
 
-use experiments::{obs_sweep, Lab, Scale};
-use std::path::{Path, PathBuf};
+mod common;
+
+use experiments::{obs_sweep, Lab, RunCtx, Scale};
+use std::path::PathBuf;
 use std::time::Instant;
 use telemetry::obs::{AlertKind, ObsReport};
 
@@ -28,10 +30,11 @@ fn obs_smoke_within_wall_budget() {
         &mut lab,
         &obs_sweep::cell_config(Scale::Quick, &obs_sweep::SCENARIOS[0]),
     );
+    let quick = RunCtx::new(Scale::Quick);
     let t0 = Instant::now();
     let mut fired = [0u64; AlertKind::ALL.len()];
     for scenario in obs_sweep::SCENARIOS {
-        let (row, obs) = obs_sweep::run_cell(Scale::Quick, scenario, &cals);
+        let (row, obs) = obs_sweep::run_cell(&quick, scenario, &cals);
         assert!(row.expected_fired && row.silent_ok, "{}: alert contract", scenario.name);
         assert!(row.completed > 0, "{}: the fleet must keep serving", scenario.name);
         assert!(
@@ -58,53 +61,17 @@ fn obs_smoke_within_wall_budget() {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci").join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("PC_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "{name} drifted; if deliberate, regenerate with PC_BLESS=1 cargo test \
-         --release -p experiments --test obs_sweep_checks"
-    );
-}
-
 /// Runs the full quick ladder with tracing into a sandbox (pre-seeded
 /// with the committed calibration caches) at the given job and shard
 /// counts; returns (sandbox dir, record JSON).
 fn traced_quick_ladder(jobs: usize, shards: usize) -> (PathBuf, String) {
-    let tmp = std::env::temp_dir()
-        .join(format!("pc-obs-golden-{jobs}-{shards}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let results = tmp.join("results");
-    std::fs::create_dir_all(&results).expect("create sandbox");
-    let repo_results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for entry in std::fs::read_dir(repo_results).expect("repo results dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().to_string();
-        if name.starts_with("calibration-") && name.ends_with(".json") {
-            std::fs::copy(entry.path(), results.join(&name)).expect("copy calibration cache");
-        }
-    }
-    std::env::set_var("PC_RESULTS_DIR", &results);
-    experiments::runner::set_jobs(jobs);
-    experiments::runner::set_shards(shards);
-    experiments::runner::set_trace_dir(Some(tmp.join("traces")));
-    let record = obs_sweep::run(Scale::Quick);
-    experiments::runner::set_trace_dir(None);
-    experiments::runner::set_shards(1);
+    let (tmp, mut ctx) = common::traced_sandbox(&format!("obs-golden-{jobs}-{shards}"));
+    ctx.jobs = jobs;
+    ctx.shards = shards;
+    let record = obs_sweep::run(&ctx);
     assert!(record.alerts_fired, "every alert rung must fire its expected kinds");
     assert!(record.controls_silent, "every control rung must stay silent");
-    let json = std::fs::read_to_string(results.join("obs_sweep.json")).expect("record file");
+    let json = std::fs::read_to_string(tmp.join("results/obs_sweep.json")).expect("record file");
     (tmp, json)
 }
 
@@ -156,7 +123,7 @@ fn obs_artifacts_match_goldens_at_any_job_and_shard_count() {
             merged.push_str(&body);
         }
     }
-    check_golden("trace_schema_obs.golden", &telemetry::summary::schema(&merged));
+    common::check_golden("trace_schema_obs.golden", &telemetry::summary::schema(&merged));
     // The alert events are in the trace stream, not only in the report.
     assert!(
         merged.contains("\"cat\":\"obs\""),
@@ -166,7 +133,57 @@ fn obs_artifacts_match_goldens_at_any_job_and_shard_count() {
         std::fs::read_to_string(dir.join("cap-burn.obs.json")).expect("cap-burn report");
     let report = ObsReport::from_json(&report_json).expect("well-formed obs report");
     assert!(report.alert_count(AlertKind::CapBurn) > 0);
-    check_golden("obs_report.golden", &report.render());
+    common::check_golden("obs_report.golden", &report.render());
     let _ = std::fs::remove_dir_all(&tmp1);
     let _ = std::fs::remove_dir_all(&tmp4);
+}
+
+/// Two cells running at once on two threads under different contexts
+/// see only their own settings: the traced cell's trace dir holds its
+/// own artifacts and nothing else, the untraced 2-shard cell writes
+/// nothing, and each row and tally equals the same cell's serial,
+/// default-flag run.
+#[test]
+fn concurrent_cells_keep_their_own_contexts() {
+    let mut lab = Lab::new();
+    let rung = |name| obs_sweep::SCENARIOS.iter().find(|s| s.name == name).expect("rung");
+    let (control, cap_burn) = (rung("control"), rung("cap-burn"));
+    let cals = obs_sweep::cell_calibrations(&mut lab, &obs_sweep::cell_config(Scale::Quick, control));
+    let root = std::env::temp_dir().join(format!("pc-ctx-isolation-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let mut traced = RunCtx::new(Scale::Quick);
+    traced.trace_dir = Some(root.clone());
+    let mut sharded = RunCtx::new(Scale::Quick);
+    sharded.shards = 2;
+    let row = |ctx: &RunCtx, sc| {
+        let (row, obs) = obs_sweep::run_cell(ctx, sc, &cals);
+        (serde_json::to_string(&row).expect("row json"), obs.report.to_json())
+    };
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| row(&traced, control));
+        let b = s.spawn(|| row(&sharded, cap_burn));
+        (a.join().expect("traced cell"), b.join().expect("sharded cell"))
+    });
+    let list = |dir: PathBuf| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("trace dir")
+            .map(|e| e.expect("dir entry").file_name().to_string_lossy().to_string())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(list(root.clone()), ["obs_sweep"]);
+    assert!(
+        list(root.join("obs_sweep")).iter().all(|n| n.starts_with("control.")),
+        "only the traced cell may write artifacts: {:?}",
+        list(root.join("obs_sweep"))
+    );
+    assert!(list(root.join("obs_sweep")).contains(&"control.jsonl".to_string()));
+    let (serial_a, serial_b) = (RunCtx::new(Scale::Quick), RunCtx::new(Scale::Quick));
+    assert!(a == row(&serial_a, control), "traced cell differs from its serial run");
+    assert!(b == row(&serial_b, cap_burn), "sharded cell differs from its serial run");
+    assert_eq!(traced.tally(), serial_a.tally());
+    assert_eq!(sharded.tally(), serial_b.tally());
+    assert!(traced.tally().requests > 0 && traced.tally() != sharded.tally());
+    let _ = std::fs::remove_dir_all(&root);
 }

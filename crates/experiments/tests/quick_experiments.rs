@@ -1,11 +1,24 @@
 //! Quick-scale runs of the heavier experiments: each must produce the
-//! paper's qualitative outcome even at reduced duration.
+//! paper's qualitative outcome even at reduced duration. Records go to a
+//! sandbox, so the committed full-scale ones stay intact.
 
-use experiments::Scale;
+mod common;
+
+use experiments::{RunCtx, Scale};
+use std::sync::OnceLock;
+
+/// A quick-scale context writing into the suite's sandbox. The sandbox
+/// is created once: `PC_RESULTS_DIR` is process-wide, so the tests of
+/// this binary share it.
+fn quick() -> RunCtx {
+    static SANDBOX: OnceLock<std::path::PathBuf> = OnceLock::new();
+    SANDBOX.get_or_init(|| common::sandbox("quick-experiments"));
+    RunCtx::new(Scale::Quick)
+}
 
 #[test]
 fn fig2_alignment_recovers_both_meter_delays() {
-    let record = experiments::fig02::run(Scale::Quick);
+    let record = experiments::fig02::run(&quick());
     for scan in &record.scans {
         let err = (scan.estimated_delay_ms - scan.true_delay_ms).abs();
         assert!(
@@ -22,7 +35,7 @@ fn fig2_alignment_recovers_both_meter_delays() {
 
 #[test]
 fn fig9_background_share_is_substantial() {
-    let record = experiments::fig09::run(Scale::Quick);
+    let record = experiments::fig09::run(&quick());
     let peak = &record.cells[0];
     assert!(
         (0.12..0.55).contains(&peak.background_share),
@@ -37,7 +50,7 @@ fn fig9_background_share_is_substantial() {
 
 #[test]
 fn fig13_rsa_prefers_the_new_machine_most() {
-    let record = experiments::fig13::run(Scale::Quick);
+    let record = experiments::fig13::run(&quick());
     let rsa = record
         .rows
         .iter()
@@ -57,7 +70,7 @@ fn fig13_rsa_prefers_the_new_machine_most() {
 
 #[test]
 fn coefficients_recover_the_chipshare_term() {
-    let record = experiments::coefficients::run(Scale::Quick);
+    let record = experiments::coefficients::run(&quick());
     let chipshare = record
         .rows
         .iter()

@@ -9,9 +9,11 @@
 //! PC_BLESS=1 cargo test --release -p experiments --test scale_sweep_checks
 //! ```
 
+mod common;
+
 use cluster::{run_pipeline, ClusterOutcome, DistributionPolicy, SimpleBalance};
 use experiments::{scale_sweep, Lab, Scale};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 fn run_cell(nodes: usize) -> ClusterOutcome {
@@ -61,45 +63,11 @@ fn smallest_cell_smoke_within_wall_budget() {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci").join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("PC_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "{name} drifted; if deliberate, regenerate with PC_BLESS=1 cargo test \
-         --release -p experiments --test scale_sweep_checks"
-    );
-}
-
 /// Runs the full quick sweep with tracing into a sandbox (pre-seeded
 /// with the committed calibration caches) and returns the trace dir.
 fn traced_quick_sweep() -> PathBuf {
-    let tmp = std::env::temp_dir().join(format!("pc-scale-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let results = tmp.join("results");
-    std::fs::create_dir_all(&results).expect("create sandbox");
-    let repo_results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for entry in std::fs::read_dir(repo_results).expect("repo results dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().to_string();
-        if name.starts_with("calibration-") && name.ends_with(".json") {
-            std::fs::copy(entry.path(), results.join(&name)).expect("copy calibration cache");
-        }
-    }
-    std::env::set_var("PC_RESULTS_DIR", &results);
-    experiments::runner::set_trace_dir(Some(tmp.join("traces")));
-    let record = scale_sweep::run(Scale::Quick);
-    experiments::runner::set_trace_dir(None);
+    let (tmp, ctx) = common::traced_sandbox("scale-golden");
+    let record = scale_sweep::run(&ctx);
     assert!(record.ordering_at_scale, "fig14 ordering must hold at scale");
     assert!(record.caps_held, "cluster power caps must hold");
     tmp
@@ -126,12 +94,12 @@ fn scale_sweep_traces_match_goldens() {
     for n in &names {
         merged.push_str(&std::fs::read_to_string(dir.join(n)).expect("read trace"));
     }
-    check_golden("trace_schema_scale.golden", &telemetry::summary::schema(&merged));
+    common::check_golden("trace_schema_scale.golden", &telemetry::summary::schema(&merged));
     let smallest = std::fs::read_to_string(dir.join("04nodes-simple-uncapped.jsonl"))
         .expect("smallest cell trace");
     let s = telemetry::summary::summarize(&smallest);
     assert_eq!(s.unparsed_lines, 0, "trace must be well-formed");
-    check_golden(
+    common::check_golden(
         "trace_summarize_scale.golden",
         &telemetry::summary::render_summary(&s),
     );

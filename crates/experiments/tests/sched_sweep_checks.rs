@@ -10,8 +10,10 @@
 //! PC_BLESS=1 cargo test --release -p experiments --test sched_sweep_checks
 //! ```
 
-use experiments::{sched_sweep, Lab, Scale};
-use std::path::{Path, PathBuf};
+mod common;
+
+use experiments::{sched_sweep, Lab, RunCtx, Scale};
+use std::path::PathBuf;
 use std::time::Instant;
 use workloads::WorkloadKind;
 
@@ -24,12 +26,14 @@ fn sched_smoke_within_wall_budget() {
     let mut lab = Lab::new();
     let spec = lab.spec("sandybridge");
     let cal = lab.calibration("sandybridge");
-    let secs = Scale::Quick.run_secs();
+    let quick = RunCtx::new(Scale::Quick);
+    let secs = quick.scale.run_secs();
     let t0 = Instant::now();
     let cells: Vec<_> = sched_sweep::swept_kinds()
         .into_iter()
         .map(|kind| {
             sched_sweep::attribution_cell(
+                &quick,
                 kind,
                 "sandybridge",
                 spec.clone(),
@@ -67,55 +71,19 @@ fn sched_smoke_within_wall_budget() {
     }
 }
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../ci").join(name)
-}
-
-fn check_golden(name: &str, actual: &str) {
-    let path = golden_path(name);
-    if std::env::var_os("PC_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read golden {}: {e}", path.display()));
-    assert_eq!(
-        actual,
-        expected,
-        "{name} drifted; if deliberate, regenerate with PC_BLESS=1 cargo test \
-         --release -p experiments --test sched_sweep_checks"
-    );
-}
-
 /// Runs the full quick sweep with tracing into a sandbox (pre-seeded
 /// with the committed calibration caches) at the given job and shard
 /// counts and returns (sandbox dir, record JSON).
 fn traced_quick_sweep(jobs: usize, shards: usize) -> (PathBuf, String) {
-    let tmp = std::env::temp_dir()
-        .join(format!("pc-sched-golden-{}-{jobs}-{shards}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&tmp);
-    let results = tmp.join("results");
-    std::fs::create_dir_all(&results).expect("create sandbox");
-    let repo_results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    for entry in std::fs::read_dir(repo_results).expect("repo results dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name().to_string_lossy().to_string();
-        if name.starts_with("calibration-") && name.ends_with(".json") {
-            std::fs::copy(entry.path(), results.join(&name)).expect("copy calibration cache");
-        }
-    }
-    std::env::set_var("PC_RESULTS_DIR", &results);
-    experiments::runner::set_jobs(jobs);
-    experiments::runner::set_shards(shards);
-    experiments::runner::set_trace_dir(Some(tmp.join("traces")));
-    let record = sched_sweep::run(Scale::Quick);
-    experiments::runner::set_trace_dir(None);
-    experiments::runner::set_shards(1);
+    let (tmp, mut ctx) = common::traced_sandbox(&format!("sched-golden-{jobs}-{shards}"));
+    ctx.jobs = jobs;
+    ctx.shards = shards;
+    let record = sched_sweep::run(&ctx);
     assert!(record.attribution_bounded, "attribution bound must hold on the quick sweep");
     assert!(record.conserved, "conservation must hold under every scheduler");
     assert!(record.caps_held, "conditioning must hold under every scheduler");
     assert!(record.ordering_invariant, "fig14 ordering must be scheduler-invariant");
-    let json = std::fs::read_to_string(results.join("sched_sweep.json")).expect("record file");
+    let json = std::fs::read_to_string(tmp.join("results/sched_sweep.json")).expect("record file");
     (tmp, json)
 }
 
@@ -152,12 +120,12 @@ fn sched_traces_match_goldens_at_any_job_count() {
         assert_eq!(body, other, "{n} must be byte-identical at any --jobs/--shards");
         merged.push_str(&body);
     }
-    check_golden("trace_schema_sched.golden", &telemetry::summary::schema(&merged));
+    common::check_golden("trace_schema_sched.golden", &telemetry::summary::schema(&merged));
     let full = std::fs::read_to_string(dir.join("priority-sandybridge-stress.jsonl"))
         .expect("priority-sandybridge-stress trace");
     let s = telemetry::summary::summarize(&full);
     assert_eq!(s.unparsed_lines, 0, "trace must be well-formed");
-    check_golden("trace_summarize_sched.golden", &telemetry::summary::render_summary(&s));
+    common::check_golden("trace_summarize_sched.golden", &telemetry::summary::render_summary(&s));
     let _ = std::fs::remove_dir_all(&tmp1);
     let _ = std::fs::remove_dir_all(&tmp4);
 }

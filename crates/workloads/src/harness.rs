@@ -233,32 +233,26 @@ impl PreparedRun {
     pub fn run(mut self) -> RunOutcome {
         let end = SimTime::ZERO + self.duration;
         self.kernel.run_until(end);
-        let outcome = RunOutcome {
+        RunOutcome {
             kernel: self.kernel,
             facility: self.facility,
             stats: self.stats,
             end,
             offered_rate: self.offered_rate,
-        };
-        crate::degrade::note_degrade(outcome.degrade_stats());
-        crate::degrade::note_requests(outcome.stats.borrow().issued());
-        outcome
+        }
     }
 
     /// Converts an already-stepped run into an outcome at its current
     /// time.
     pub fn finish(self) -> RunOutcome {
         let end = self.kernel.now();
-        let outcome = RunOutcome {
+        RunOutcome {
             kernel: self.kernel,
             facility: self.facility,
             stats: self.stats,
             end,
             offered_rate: self.offered_rate,
-        };
-        crate::degrade::note_degrade(outcome.degrade_stats());
-        crate::degrade::note_requests(outcome.stats.borrow().issued());
-        outcome
+        }
     }
 }
 

@@ -33,7 +33,6 @@
 
 pub mod apps;
 pub mod calibration;
-pub mod degrade;
 pub mod driver;
 pub mod harness;
 pub mod loadgen;
@@ -43,11 +42,6 @@ pub mod traffic;
 
 pub use apps::{AppEnv, ServerApp, WorkloadKind, POWER_VIRUS_LABEL};
 pub use calibration::{calibrate_machine, MachineCalibration, Microbench};
-pub use degrade::{
-    autoscale_ledger, current_degrade_scope, degrade_ledger, note_autoscale, note_degrade,
-    note_obs, note_requests, obs_ledger, request_ledger, reset_degrade_ledger, AutoscaleDigest,
-    DegradeScope, ObsDigest,
-};
 pub use driver::{
     scaled_compute, spawn_driver, spawn_pool, ClosedLoopDriver, CtxAlloc, DriverEnv, PoolWorker,
 };

@@ -29,6 +29,7 @@ fn main() {
         (&cfg.nodes[1], &cals[1]),
         7,
         SimDuration::from_secs(4),
+        |_| {},
     );
     for row in &profile {
         println!(

@@ -7,8 +7,10 @@
 //! cargo run --release --example power_virus_capping
 //! ```
 
+use experiments::{RunCtx, Scale};
+
 fn main() {
-    let data = experiments::fig11::conditioning_data(experiments::Scale::Quick);
+    let data = experiments::fig11::conditioning_data(&RunCtx::new(Scale::Quick));
     println!("system active-power target: {:.1} W", data.target_w);
     println!("viruses arrive at t = {}", data.virus_start);
     println!(

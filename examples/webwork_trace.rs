@@ -7,8 +7,10 @@
 //! cargo run --example webwork_trace
 //! ```
 
+use experiments::{RunCtx, Scale};
+
 fn main() {
-    let record = experiments::fig04::run(experiments::Scale::Quick);
+    let record = experiments::fig04::run(&RunCtx::new(Scale::Quick));
     println!("\nstage summary (as in the paper's Fig. 4 annotations):");
     for s in &record.stages {
         println!(

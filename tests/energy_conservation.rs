@@ -52,7 +52,7 @@ fn fig05_cells_conserve_energy() {
             }
         }
     }
-    let cells = experiments::runner::run_parallel(experiments::runner::jobs(), tasks);
+    let cells = experiments::runner::run_parallel(1, tasks);
     for cell in cells {
         let (label, attributed, measured) = cell.expect("fig05 cell must not panic");
         assert_energy_conserved(&label, attributed, measured, CLEAN_TOL);
@@ -85,7 +85,7 @@ fn fig05_cells_conserve_energy_under_every_scheduler() {
             });
         }
     }
-    let cells = experiments::runner::run_parallel(experiments::runner::jobs(), tasks);
+    let cells = experiments::runner::run_parallel(1, tasks);
     for cell in cells {
         let (label, attributed, measured) = cell.expect("sched fig05 cell must not panic");
         assert_energy_conserved(&label, attributed, measured, CLEAN_TOL);

@@ -1,11 +1,11 @@
 //! Smoke tests for the experiment harness: quick-scale versions of the
 //! cheaper figures must run and satisfy the paper's qualitative claims.
 
-use experiments::Scale;
+use experiments::{RunCtx, Scale};
 
 #[test]
 fn fig1_shows_maintenance_step_on_both_machines() {
-    let record = experiments::fig01::run(Scale::Quick);
+    let record = experiments::fig01::run(&RunCtx::new(Scale::Quick));
     let sb = &record.machines[0];
     assert_eq!(sb.machine, "sandybridge");
     assert!(
@@ -23,7 +23,7 @@ fn fig1_shows_maintenance_step_on_both_machines() {
 
 #[test]
 fn fig4_attributes_every_stage() {
-    let record = experiments::fig04::run(Scale::Quick);
+    let record = experiments::fig04::run(&RunCtx::new(Scale::Quick));
     assert_eq!(record.stages.len(), 5);
     for s in &record.stages {
         assert!(s.energy_j > 0.0, "stage {} got no energy", s.stage);
@@ -51,7 +51,7 @@ fn fig4_attributes_every_stage() {
 
 #[test]
 fn overhead_is_sub_10_microseconds_per_op() {
-    let record = experiments::overhead::run(Scale::Quick);
+    let record = experiments::overhead::run(&RunCtx::new(Scale::Quick));
     // The paper measures 0.95 µs on 2011 hardware; allow generous slack
     // for debug builds and CI noise, but the op must stay cheap.
     assert!(
