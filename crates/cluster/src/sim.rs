@@ -1422,6 +1422,13 @@ fn build_node_runtime(
             // per-tick switch events across N nodes would dwarf the
             // facility signal.)
             telemetry: tele.clone(),
+            // Only alignment and refit read the model/metrics history;
+            // a meterless node keeps a single slot of each.
+            trace_capacity: if meter.is_some() {
+                FacilityConfig::default().trace_capacity
+            } else {
+                1
+            },
             ..FacilityConfig::default()
         },
     );
@@ -1430,6 +1437,11 @@ fn build_node_runtime(
         spec.clone(),
         cfg.seed.wrapping_add(n as u64).wrapping_add(inc.wrapping_mul(0xA076_1D64_78BD_642F)),
     );
+    if meter.is_none() {
+        // Nothing polls this node's meters: queue no reports, even
+        // across a restarted incarnation's fast-forward below.
+        machine.discard_meter_reports();
+    }
     if cfg.faults.is_active() {
         // Same fault profile on every node, decorrelated by seed.
         machine.set_fault_config(FaultConfig {

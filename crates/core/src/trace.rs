@@ -95,8 +95,9 @@ impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
             self.values.push_back((T::default(), 0.0));
         }
         while self.base + (self.values.len() as u64) <= idx {
-            self.values.push_back((T::default(), 0.0));
-            if self.values.len() > self.capacity {
+            // Evict before pushing so a full ring never holds
+            // `capacity + 1` slots (which would double the deque).
+            if self.values.len() == self.capacity {
                 self.values.pop_front();
                 self.base += 1;
                 // Roll the evicted slot's total into the anchor so the
@@ -105,6 +106,7 @@ impl<T: Default + Copy + AddAssign + Mul<f64, Output = T>> TraceRing<T> {
                     cursor.anchor = front;
                 }
             }
+            self.values.push_back((T::default(), 0.0));
         }
         if idx < self.base {
             return; // too old; history already evicted
@@ -430,6 +432,61 @@ mod tests {
                     "step {step}: cursor ({fast_v}, {fast_s}) vs walk ({ref_v}, {ref_s})"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn full_ring_stays_within_its_capacity_and_answers_like_full_history() {
+        for capacity in [1usize, 5, 16, 64] {
+            let mut r: TraceRing<f64> = TraceRing::new(SimDuration::from_millis(1), capacity);
+            // Every slot ever written, never evicted: the reference.
+            let mut history = vec![(0.0f64, 0.0f64); 3 * capacity + 1];
+            let mut state = 0x2545_F491_4F6C_DD1Du64 ^ capacity as u64;
+            let mut rng = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            for slot in 0..3 * capacity as u64 {
+                let t = SimTime::from_micros(slot * 1000 + 1 + rng() % 999);
+                let (v, dt) = ((rng() % 100) as f64, SimDuration::from_micros(50 + rng() % 900));
+                r.add(t, v, dt);
+                history[slot as usize].0 += v * dt.as_secs_f64();
+                history[slot as usize].1 += dt.as_secs_f64();
+                let newest = slot;
+                let oldest = (newest + 1).saturating_sub(capacity as u64);
+                for _ in 0..3 {
+                    let a = rng() % ((slot + 2) * 1000);
+                    let b = a + 1 + rng() % (2_000 * capacity as u64);
+                    let (t0, t1) = (SimTime::from_micros(a), SimTime::from_micros(b));
+                    let (mut v_ref, mut s_ref) = (0.0, 0.0);
+                    for idx in oldest..=newest {
+                        let lo = (idx * 1000).max(a);
+                        let hi = ((idx + 1) * 1000).min(b);
+                        let frac = hi.saturating_sub(lo) as f64 / 1000.0;
+                        v_ref += history[idx as usize].0 * frac;
+                        s_ref += history[idx as usize].1 * frac;
+                    }
+                    let (v, s) = r.integral_between(t0, t1);
+                    assert!(
+                        (v - v_ref).abs() < 1e-9 && (s - s_ref).abs() < 1e-12,
+                        "capacity {capacity}, slot {slot}, [{a}, {b}) us: \
+                         ({v}, {s}) vs full history ({v_ref}, {s_ref})"
+                    );
+                }
+                let series = r.recent_series(SimTime::from_millis(slot + 1), capacity);
+                for (k, got) in series.iter().enumerate() {
+                    let (v, s) = history[(slot - k as u64) as usize];
+                    assert!((got - v / s).abs() < 1e-9, "capacity {capacity}, slot {slot}");
+                }
+            }
+            // std never allocates a non-empty deque below 4 slots.
+            let bound = capacity.next_power_of_two().max(4);
+            assert_eq!(r.values.len(), capacity);
+            assert!(r.values.capacity() <= bound, "values grew to {}", r.values.capacity());
+            let cum = r.cursor.borrow().cum.capacity();
+            assert!(cum <= bound, "cursor grew to {cum}");
         }
     }
 

@@ -5,7 +5,7 @@
 
 use serde::Serialize;
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
@@ -86,17 +86,15 @@ pub fn banner(id: &str, title: &str) {
 
 /// The directory experiment JSON records are written to: the
 /// `PC_RESULTS_DIR` environment variable when set (used by tests to
-/// sandbox runs), otherwise `results/` at the repository root.
+/// sandbox runs), otherwise `results/` at the root of the repository
+/// this crate was built from, wherever the process runs.
 pub fn results_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("PC_RESULTS_DIR") {
         if !dir.is_empty() {
             return PathBuf::from(dir);
         }
     }
-    let root = std::env::var("CARGO_MANIFEST_DIR")
-        .map(|d| PathBuf::from(d).join("../.."))
-        .unwrap_or_else(|_| PathBuf::from("."));
-    root.join("results")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
 /// Writes an experiment's JSON record to `results/<id>.json`.

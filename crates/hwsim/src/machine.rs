@@ -132,6 +132,9 @@ pub struct Machine {
     true_energy_j: f64,
     /// Lifetime true energy excluding idle power, in Joules.
     true_active_energy_j: f64,
+    /// Set by [`Machine::discard_meter_reports`]: meter windows still
+    /// close on schedule but queue no report.
+    reports_discarded: bool,
 }
 
 impl Machine {
@@ -153,6 +156,7 @@ impl Machine {
             faults: FaultInjector::disabled(),
             true_energy_j: 0.0,
             true_active_energy_j: 0.0,
+            reports_discarded: false,
             spec,
         }
     }
@@ -396,10 +400,30 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is out of range.
+    /// Panics if `id` is out of range, or if
+    /// [`Machine::discard_meter_reports`] was called.
     pub fn pop_meter_reports(&mut self, id: MeterId) -> Vec<MeterReport> {
+        assert!(
+            !self.reports_discarded,
+            "meter reports were discarded (Machine::discard_meter_reports); none are queued"
+        );
         let now = self.now;
         self.meters[id.0].pop_visible(now)
+    }
+
+    /// Stops queueing meter reports, for an OS that never reads a meter
+    /// (each undelivered report otherwise stays queued forever). Windows
+    /// keep integrating and closing at the same instants, and the fault
+    /// injector is still consulted per window, so counters, true energy
+    /// and the fault log stay bit-identical to a reading machine's; only
+    /// the measurement-noise draws and the reports themselves are
+    /// skipped. Reports already queued are dropped, and
+    /// [`Machine::pop_meter_reports`] panics from now on.
+    pub fn discard_meter_reports(&mut self) {
+        self.reports_discarded = true;
+        for m in &mut self.meters {
+            m.clear_pending();
+        }
     }
 
     /// Installs a fault-injection configuration, replacing any previous
@@ -445,6 +469,13 @@ impl Machine {
             // Close any meter windows that end exactly at seg_end.
             for i in 0..self.meters.len() {
                 if self.meters[i].window_end() == seg_end {
+                    if self.reports_discarded {
+                        // No noise draw and no report, but the fault
+                        // injector still rolls this window's faults.
+                        self.meters[i].skip_window(seg_end);
+                        self.faults.meter_window(i, seg_end);
+                        continue;
+                    }
                     let noise = 1.0 + self.meters[i].spec.noise_frac * self.rng.normal();
                     self.meters[i].close_window(seg_end, noise);
                     match self.faults.meter_window(i, seg_end) {
@@ -807,6 +838,70 @@ mod tests {
         let id = a.find_meter("on-chip").unwrap();
         assert_eq!(a.pop_meter_reports(id), b.pop_meter_reports(id));
         assert_eq!(b.fault_log().total(), 0);
+    }
+
+    #[test]
+    fn discarding_reports_leaves_counters_energy_and_faults_bit_identical() {
+        let faults = FaultConfig {
+            seed: 21,
+            meter_dropout: 0.2,
+            meter_extra_lag: 0.3,
+            meter_extra_lag_max: SimDuration::from_millis(40),
+            counter_glitch_hz: 20.0,
+            ..FaultConfig::none()
+        };
+        let mut reading = machine();
+        let mut discarding = machine();
+        reading.set_fault_config(faults.clone());
+        discarding.set_fault_config(faults);
+        discarding.discard_meter_reports();
+        let mut step = 0u64;
+        let mut t = SimTime::ZERO;
+        while t < SimTime::from_secs(2) {
+            // Uneven steps that straddle meter-window boundaries, with the
+            // running set changing between them.
+            step += 1;
+            t = (t + SimDuration::from_micros(137 + (step * 7919) % 2_900))
+                .min(SimTime::from_secs(2));
+            for m in [&mut reading, &mut discarding] {
+                let core = CoreId((step % 4) as usize);
+                let profile = match step % 3 {
+                    0 => None,
+                    1 => Some(ActivityProfile::stress()),
+                    _ => Some(ActivityProfile::high_ipc()),
+                };
+                m.set_running(core, profile);
+                m.advance_to(t);
+            }
+        }
+        let id = reading.find_meter("on-chip").unwrap();
+        assert!(!reading.pop_meter_reports(id).is_empty());
+        assert_eq!(reading.true_energy_j().to_bits(), discarding.true_energy_j().to_bits());
+        assert_eq!(
+            reading.true_active_energy_j().to_bits(),
+            discarding.true_active_energy_j().to_bits()
+        );
+        for c in 0..reading.spec().total_cores() {
+            assert_eq!(reading.counters(CoreId(c)), discarding.counters(CoreId(c)), "core {c}");
+        }
+        for kind in [
+            crate::FaultKind::MeterDropout,
+            crate::FaultKind::MeterExtraLag,
+            crate::FaultKind::CounterGlitch,
+        ] {
+            assert!(reading.fault_log().count(kind) > 0, "{kind:?} never fired");
+        }
+        assert_eq!(reading.fault_log(), discarding.fault_log());
+    }
+
+    #[test]
+    #[should_panic(expected = "meter reports were discarded")]
+    fn popping_a_discarded_meter_panics() {
+        let mut m = machine();
+        m.discard_meter_reports();
+        m.advance_to(SimTime::from_millis(5));
+        let id = m.find_meter("on-chip").unwrap();
+        m.pop_meter_reports(id);
     }
 
     #[test]

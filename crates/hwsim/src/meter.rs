@@ -113,7 +113,6 @@ impl MeterState {
     /// [`MeterState::window_end`]), emitting a report with the given
     /// multiplicative noise factor applied.
     pub fn close_window(&mut self, now: SimTime, noise_factor: f64) {
-        debug_assert_eq!(now, self.window_end(), "window closed at wrong instant");
         let secs = self.spec.period.as_secs_f64();
         let avg = if secs > 0.0 { self.energy_j / secs } else { 0.0 };
         self.pending.push_back(MeterReport {
@@ -122,8 +121,19 @@ impl MeterState {
             avg_watts: (avg * noise_factor).max(0.0),
             visible_at: now + self.spec.delay,
         });
+        self.skip_window(now);
+    }
+
+    /// Closes the current window at `now` without emitting a report.
+    pub fn skip_window(&mut self, now: SimTime) {
+        debug_assert_eq!(now, self.window_end(), "window closed at wrong instant");
         self.window_start = now;
         self.energy_j = 0.0;
+    }
+
+    /// Drops every undelivered report and releases the queue's memory.
+    pub fn clear_pending(&mut self) {
+        self.pending = VecDeque::new();
     }
 
     /// Discards the most recently closed, still-undelivered report —

@@ -322,6 +322,10 @@ pub fn prepare_app(
     let state = facility.state();
 
     let mut machine = Machine::new(cfg.spec.clone(), cfg.seed);
+    if meter.is_none() {
+        // The facility never polls a meter, so nothing would pop them.
+        machine.discard_meter_reports();
+    }
     if cfg.faults.is_active() {
         machine.set_fault_config(cfg.faults.clone());
     }

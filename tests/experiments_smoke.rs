@@ -1,11 +1,23 @@
 //! Smoke tests for the experiment harness: quick-scale versions of the
 //! cheaper figures must run and satisfy the paper's qualitative claims.
+//! Records go to a sandbox, so the committed full-scale ones stay intact.
+
+mod common;
 
 use experiments::{RunCtx, Scale};
+use std::sync::OnceLock;
+
+/// A quick-scale context writing into the suite's sandbox, created once
+/// per test process.
+fn quick() -> RunCtx {
+    static SANDBOX: OnceLock<std::path::PathBuf> = OnceLock::new();
+    SANDBOX.get_or_init(|| common::sandbox("experiments-smoke"));
+    RunCtx::new(Scale::Quick)
+}
 
 #[test]
 fn fig1_shows_maintenance_step_on_both_machines() {
-    let record = experiments::fig01::run(&RunCtx::new(Scale::Quick));
+    let record = experiments::fig01::run(&quick());
     let sb = &record.machines[0];
     assert_eq!(sb.machine, "sandybridge");
     assert!(
@@ -23,7 +35,7 @@ fn fig1_shows_maintenance_step_on_both_machines() {
 
 #[test]
 fn fig4_attributes_every_stage() {
-    let record = experiments::fig04::run(&RunCtx::new(Scale::Quick));
+    let record = experiments::fig04::run(&quick());
     assert_eq!(record.stages.len(), 5);
     for s in &record.stages {
         assert!(s.energy_j > 0.0, "stage {} got no energy", s.stage);
@@ -51,7 +63,7 @@ fn fig4_attributes_every_stage() {
 
 #[test]
 fn overhead_is_sub_10_microseconds_per_op() {
-    let record = experiments::overhead::run(&RunCtx::new(Scale::Quick));
+    let record = experiments::overhead::run(&quick());
     // The paper measures 0.95 µs on 2011 hardware; allow generous slack
     // for debug builds and CI noise, but the op must stay cheap.
     assert!(
